@@ -28,7 +28,6 @@ from .kernels import (
     KernelFamily,
     UnsupportedKernelError,
     baseline_weight,
-    capital_lambda,
     capital_lambda_batch,
     capital_lambda_trapezoid,
     effective_flat_top_radius,

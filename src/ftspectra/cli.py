@@ -31,10 +31,9 @@ from .core import (
     series_to_csv,
 )
 from .estimator import estimate_lagwindow, estimate_smoothed
-from .kernels import UnsupportedKernelError, parse_kernel
+from .kernels import UnsupportedKernelError, check_bandwidth, parse_kernel
 from .psd import clip_estimate, min_eigenvalue
 from .sim import (
-    DEFAULT_KERNELS,
     ImseConfig,
     generate_fma1,
     make_fma1_model,
@@ -98,61 +97,45 @@ def _parse_bandwidth_mode(text: str):
         raise DomainError(
             f"bandwidth must be 'auto', 'rate', '2rate' or a number, got {text!r}"
         ) from exc
-    if not 0.0 < value < 1.0:
-        raise DomainError(f"explicit bandwidth must lie in (0, 1), got {value}")
-    return value
+    return check_bandwidth(value)
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Precedence: command-line flags > config file > parser defaults."""
-    path = getattr(args, "config", None)
-    if not path:
-        return args
+def _read_config(path) -> dict:
     try:
         with open(path) as fh:
-            overrides = json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad config JSON {path}: {exc}") from exc
-    if not isinstance(overrides, dict):
+    if not isinstance(config, dict):
         raise ParseError(f"config {path} must hold a JSON object")
-    explicit = getattr(args, "_explicit", set())
-    for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise DomainError(f"config {path}: unknown option {key!r}")
-        if attr not in explicit:
-            setattr(args, attr, value)
-    return args
+    return config
 
 
-class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which destinations were set on the command line, so config
-    files can fill in only the rest."""
-
-    def parse_args(self, argv=None, namespace=None):
-        args = super().parse_args(argv, namespace)
-        argv = sys.argv[1:] if argv is None else list(argv)
-        explicit = set()
-        for action in self._get_all_actions():
-            for opt in action.option_strings:
-                if any(a == opt or a.startswith(opt + "=") for a in argv):
-                    explicit.add(action.dest)
-        args._explicit = explicit
-        return args
-
-    def _get_all_actions(self):
-        actions = list(self._actions)
-        for action in self._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    actions.extend(sub._actions)
-        return actions
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Precedence: command-line flags > config file > parser defaults. The
+    config file's keys become the chosen subcommand's defaults before the
+    final parse; a key that is not one of its options is rejected."""
+    args, _ = parser.parse_known_args(argv)
+    path = getattr(args, "config", None)
+    if path:
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        sub = subparsers.choices[args.command]
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        defaults = {}
+        for key, value in _read_config(path).items():
+            dest = key.replace("-", "_")
+            if dest not in dests:
+                raise DomainError(f"config {path}: unknown option {key!r}")
+            defaults[dest] = value
+        sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
-def build_parser() -> _TrackingParser:
-    parser = _TrackingParser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="ftspectra",
         description="Flat-top kernel spectral density estimation for "
                     "functional time series.",
@@ -173,7 +156,7 @@ def build_parser() -> _TrackingParser:
     p_est.add_argument("--kernel", default="TR",
                        help="TR, PR, ID, EPA or a JSON kernel object")
     p_est.add_argument("--bandwidth", default="rate",
-                       help="'auto', 'rate' (T^-1/5), '2rate', or a value in (0,1)")
+                       help="'auto', 'rate' (T^-1/5), '2rate', or a value in (0,1]")
     p_est.add_argument("--method", default="smoothed",
                        choices=["smoothed", "lagwindow"])
     p_est.add_argument("--psd", default="none",
@@ -186,7 +169,6 @@ def build_parser() -> _TrackingParser:
                        help="output prefix: writes <out>.json and <out>.summary.json")
     p_est.add_argument("--csv-dir", default=None,
                        help="also write the estimate as a CSV directory")
-    p_est.add_argument("--parallel", type=int, default=None)
     p_est.add_argument("--config")
 
     p_bw = sub.add_parser("bandwidth", help="run the empirical bandwidth rule")
@@ -241,11 +223,10 @@ def cmd_estimate(args) -> int:
     frequencies = _parse_frequencies(args.frequencies)
     mode = _parse_bandwidth_mode(args.bandwidth)
     bandwidth = resolve_bandwidth(mode, series.n_curves, series=series, spec=spec)
-    n_jobs = args.parallel if args.parallel else _default_parallelism()
     if args.method == "lagwindow":
-        est = estimate_lagwindow(series, spec, bandwidth, frequencies, n_jobs=n_jobs)
+        est = estimate_lagwindow(series, spec, bandwidth, frequencies)
     else:
-        est = estimate_smoothed(series, spec, bandwidth, frequencies, n_jobs=n_jobs)
+        est = estimate_smoothed(series, spec, bandwidth, frequencies)
     eps = args.eps if args.eps is not None else 1.0 / series.n_curves
     est = clip_estimate(est, args.psd, eps=eps)
     _write_json(f"{args.out}.json", estimate_to_json_dict(est))
@@ -293,17 +274,8 @@ def cmd_bench(args) -> int:
     if args.full:
         t_list = (64, 128, 256, 512, 1024, 2048)
         replications = max(replications, 200)
-    spec_by_name = {"EPA": DEFAULT_KERNELS[0], "TR": DEFAULT_KERNELS[1],
-                    "PR": DEFAULT_KERNELS[2], "ID": DEFAULT_KERNELS[3]}
-    specs = []
-    for name in str(args.kernels).split(","):
-        name = name.strip()
-        if not name:
-            continue
-        if name.upper() in spec_by_name:
-            specs.append(spec_by_name[name.upper()])
-        else:
-            specs.append(parse_kernel(name))
+    specs = [parse_kernel(name) for name in str(args.kernels).split(",")
+             if name.strip()]
     if not specs:
         raise DomainError("no kernels selected")
     mode = _parse_bandwidth_mode(args.bandwidth)
@@ -369,8 +341,7 @@ _ERROR_EXITS = (
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _merge_config(args)
+        args = _parse_args(parser, argv)
         handler = {
             "simulate": cmd_simulate,
             "estimate": cmd_estimate,

@@ -1,11 +1,11 @@
 """Frequency-domain machinery: functional DFT, periodogram kernels, sample
 autocovariance kernels, and the two spectral density estimators (smoothed
-periodogram and lag window)."""
+periodogram and lag window). For flat-top tapers both estimators are one lag
+sum over a stack of autocovariances, circular or linear."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +89,15 @@ def periodogram(fdft: Fdft) -> FrequencyKernel:
     return FrequencyKernel(fdft.omega % TWO_PI, np.outer(c, c.conj()))
 
 
+def _lag_product(values: np.ndarray, u: int, circular: bool = False) -> np.ndarray:
+    """(1/T) * sum_t X_{t+u} X_t^T for a lag 0 <= u (divisor T). Linear: the
+    sum runs over t < T - u, the biased sample autocovariance. Circular: it
+    runs over every t with t + u taken mod T, for any u >= 0."""
+    T = values.shape[0]
+    lead = np.roll(values, -u, axis=0) if circular else values[u:]
+    return (lead.T @ values[: lead.shape[0]]) / T
+
+
 def autocovariance(series: FunctionalSeries, lag: int) -> AutocovKernel:
     """Sample autocovariance kernel at an integer lag u, |u| < T:
     rhat_u(tau_i, tau_j) = (1/T) * sum_t X_{t+u}(tau_i) X_t(tau_j) with the
@@ -98,83 +107,98 @@ def autocovariance(series: FunctionalSeries, lag: int) -> AutocovKernel:
     lag = int(lag)
     if abs(lag) >= T:
         raise DomainError(f"lag {lag} out of range for T = {T}")
-    u = abs(lag)
-    v = series.values
-    m = (v[u:].T @ v[: T - u]) / T
+    m = _lag_product(series.values, abs(lag))
     if lag < 0:
         m = m.T
     return AutocovKernel(lag, m)
 
 
-def _weight_matrix(spec: FlatTopSpec, bandwidth: float, x: np.ndarray) -> np.ndarray:
-    """Smoothing weights W(x) for the baseline or a flat-top taper."""
-    if spec.family is KernelFamily.EPANECHNIKOV:
-        return baseline_weight(bandwidth, x)
-    lam = lag_weights(spec, bandwidth)
-    out = np.full(x.shape, 1.0, dtype=float)
-    for u in range(1, lam.size):
-        if lam[u] != 0.0:
-            out += (2.0 * lam[u]) * np.cos(u * x)
-    return out / TWO_PI
+def _autocovariance_stack(values: np.ndarray, n_lags: int, circular: bool) -> np.ndarray:
+    """(n_lags + 1, d, d) stack of lag products for u = 0..n_lags. Circular
+    lags repeat with period T, so only the distinct ones are computed."""
+    T = values.shape[0]
+    stack = np.stack([_lag_product(values, u, circular)
+                      for u in range(min(n_lags, T - 1) + 1)])
+    return stack[np.arange(n_lags + 1) % T] if n_lags >= T else stack
 
 
-def _prepare(series, bandwidth, frequencies):
+def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.ndarray:
+    """(1/(2*pi)) * sum_{|u|<=L} lam_u e^(-i omega u) C_u with C_(-u) = C_u^T,
+    at every frequency at once: (n_frequencies, d, d).
+
+    Computed as A + A^H with A the one-sided sum (lag 0 at half weight), which
+    makes every matrix exactly Hermitian.
+    """
+    n, d = stack.shape[0], stack.shape[1]
+    w = lam[:n] / TWO_PI
+    w[0] *= 0.5
+    phase = np.exp(-1j * np.outer(frequencies, np.arange(n))) * w
+    a = (phase @ stack.reshape(n, d * d)).reshape(-1, d, d)
+    return a + a.conj().transpose(0, 2, 1)
+
+
+def _prepare(series, frequencies):
     series = center(series)
-    bandwidth = float(bandwidth)
-    if not 0.0 < bandwidth <= 1.0:
-        raise DomainError(f"bandwidth must lie in (0, 1], got {bandwidth}")
     if frequencies is None:
         frequencies = DEFAULT_FREQUENCIES
-    frequencies = np.asarray(frequencies, dtype=float)
-    return series, bandwidth, frequencies
+    return series, np.asarray(frequencies, dtype=float)
 
 
-def _map_frequencies(fn, n: int, n_jobs: int) -> list:
-    if n_jobs > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=min(n_jobs, n)) as pool:
-            return list(pool.map(fn, range(n)))
-    return [fn(i) for i in range(n)]
+def _flat_top_estimate(series, spec, bandwidth, frequencies, circular,
+                       method) -> SpectralEstimate:
+    series, frequencies = _prepare(series, frequencies)
+    lam = lag_weights(spec, bandwidth)
+    if not circular:
+        lam = lam[: series.n_curves]  # linear lags end at T - 1
+    n_lags = int(np.flatnonzero(lam)[-1])  # trailing zero weights add nothing
+    stack = _autocovariance_stack(series.values, n_lags, circular)
+    matrices = _lag_sum(stack, lam, frequencies)
+    kernels = tuple(FrequencyKernel(w % TWO_PI, m)
+                    for w, m in zip(frequencies, matrices))
+    return SpectralEstimate(frequencies, kernels, float(bandwidth),
+                            spec.identifier, method)
 
 
-def _smoothed_from_weight_matrix(series, weights, frequencies, bandwidth,
-                                 kernel_id, n_jobs=1) -> SpectralEstimate:
-    """Weighted periodogram average with an explicit weight matrix of shape
-    (n_frequencies, T-1); row f holds W(omega_f - 2*pi*s/T) for s = 1..T-1."""
+def _baseline_smoothed(series, bandwidth, frequencies) -> SpectralEstimate:
+    """Epanechnikov-weighted periodogram average. The baseline weight has no
+    finite lag form, so the ordinates s = 1..T-1 are summed directly, one
+    frequency at a time."""
+    series, frequencies = _prepare(series, frequencies)
     T = series.n_curves
     F = _fdft_matrix(series)[1:]  # s = 1..T-1; the s = 0 ordinate is excluded
+    om_s = TWO_PI * np.arange(1, T) / T
     scale = TWO_PI / T
-
-    def one(fi: int) -> FrequencyKernel:
-        m = scale * ((F.T * weights[fi]) @ F.conj())
-        return FrequencyKernel(frequencies[fi] % TWO_PI, hermitize(m))
-
-    kernels = _map_frequencies(one, len(frequencies), n_jobs)
-    return SpectralEstimate(frequencies, tuple(kernels), bandwidth, kernel_id,
+    kernels = []
+    for w in frequencies:
+        m = scale * ((F.T * baseline_weight(bandwidth, w - om_s)) @ F.conj())
+        kernels.append(FrequencyKernel(w % TWO_PI, hermitize(m)))
+    return SpectralEstimate(frequencies, tuple(kernels), float(bandwidth), "EPA",
                             METHOD_SMOOTHED)
 
 
 def estimate_smoothed(series: FunctionalSeries, spec: FlatTopSpec,
-                      bandwidth: float, frequencies=None,
-                      n_jobs: int = 1) -> SpectralEstimate:
+                      bandwidth: float, frequencies=None) -> SpectralEstimate:
     """Spectral density estimate by smoothing periodogram ordinates:
     fhat_omega = (2*pi/T) * sum_{s=1}^{T-1} W(omega - 2*pi*s/T) * p_{2*pi*s/T}.
 
-    The weight is the periodized flat-top weight for flat-top specs and the
-    periodized Epanechnikov weight for the baseline. The series is centered
-    first, which makes the excluded s = 0 ordinate identically zero.
+    The series is centered first, which makes the excluded s = 0 ordinate
+    identically zero. For flat-top specs W is the finite cosine series
+    (1/(2*pi)) * sum_{|u|<=L} lam(B*u) e^(-ixu), L = ceil(S/B), and the sum is
+    evaluated in its equal lag form
+    fhat_omega = (1/(2*pi)) * sum_{|u|<=L} lam(B*u) chat_u e^(-i omega u)
+    over the circular autocovariances
+    chat_u = (1/T) * sum_{t=0}^{T-1} X_{(t+u) mod T} X_t^T, for L >= T too.
+    The Epanechnikov baseline has no finite lag form; its periodized weight
+    multiplies the ordinates directly.
     """
-    series, bandwidth, frequencies = _prepare(series, bandwidth, frequencies)
-    T = series.n_curves
-    om_s = TWO_PI * np.arange(1, T) / T
-    x = frequencies[:, None] - om_s[None, :]
-    weights = _weight_matrix(spec, bandwidth, x)
-    return _smoothed_from_weight_matrix(series, weights, frequencies, bandwidth,
-                                        spec.identifier, n_jobs)
+    if spec.family is KernelFamily.EPANECHNIKOV:
+        return _baseline_smoothed(series, bandwidth, frequencies)
+    return _flat_top_estimate(series, spec, bandwidth, frequencies,
+                              circular=True, method=METHOD_SMOOTHED)
 
 
 def estimate_lagwindow(series: FunctionalSeries, spec: FlatTopSpec,
-                       bandwidth: float, frequencies=None,
-                       n_jobs: int = 1) -> SpectralEstimate:
+                       bandwidth: float, frequencies=None) -> SpectralEstimate:
     """Lag-window form of the flat-top estimate:
     fhat_omega = (1/(2*pi)) * sum_{|u|<T} lam(B*u) rhat_u e^(-i omega u).
 
@@ -184,21 +208,5 @@ def estimate_lagwindow(series: FunctionalSeries, spec: FlatTopSpec,
     """
     if spec.family is KernelFamily.EPANECHNIKOV:
         raise UnsupportedKernelError("the Epanechnikov baseline has no lag-window form")
-    series, bandwidth, frequencies = _prepare(series, bandwidth, frequencies)
-    T = series.n_curves
-    lam = lag_weights(spec, bandwidth)[: T]  # zero weight beyond the support
-    covs = [autocovariance(series, u).matrix for u in range(lam.size)]
-
-    def one(fi: int) -> FrequencyKernel:
-        w = frequencies[fi]
-        m = lam[0] * covs[0].astype(complex)
-        for u in range(1, lam.size):
-            if lam[u] == 0.0:
-                continue
-            a = (lam[u] * np.exp(-1j * w * u)) * covs[u]
-            m += a + a.conj().T
-        return FrequencyKernel(w % TWO_PI, hermitize(m / TWO_PI))
-
-    kernels = _map_frequencies(one, len(frequencies), n_jobs)
-    return SpectralEstimate(frequencies, tuple(kernels), bandwidth,
-                            spec.identifier, METHOD_LAG_WINDOW)
+    return _flat_top_estimate(series, spec, bandwidth, frequencies,
+                              circular=False, method=METHOD_LAG_WINDOW)

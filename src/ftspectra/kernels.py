@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import DomainError, ParseError
 
@@ -31,13 +30,13 @@ __all__ = [
     "epanechnikov",
     "lambda_eval",
     "support_radius",
-    "capital_lambda",
     "capital_lambda_batch",
     "capital_lambda_trapezoid",
     "weight_function",
     "baseline_weight",
     "effective_flat_top_radius",
     "kernel_moment",
+    "check_bandwidth",
     "lag_weights",
     "spec_to_json_dict",
     "spec_from_json_dict",
@@ -181,32 +180,11 @@ def lambda_eval(spec: FlatTopSpec, s):
     return float(out[0]) if scalar else out
 
 
-def capital_lambda(spec: FlatTopSpec, x: float) -> float:
-    """Smoothing kernel Lam(x) = (1/(2*pi)) * int lam(s) e^{isx} ds, evaluated
-    by adaptive quadrature over the compact support of lam.
-
-    Oscillatory weighting (QAWO) is used branch by branch so large |x| stays
-    accurate.
-    """
-    _require_flat_top(spec, "the smoothing kernel")
-    x = abs(float(x))
-    pts = _branch_points(spec)
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        f = lambda s: lambda_eval(spec, s)
-        if x < 1e-12:
-            val, _ = quad(f, a, b, limit=200)
-        else:
-            val, _ = quad(f, a, b, weight="cos", wvar=x, limit=200)
-        total += val
-    return total / math.pi
-
-
 def capital_lambda_batch(spec: FlatTopSpec, xs) -> np.ndarray:
     """Vectorized Lam(x) on an array of points via panel Gauss-Legendre in s.
 
     Panel sizes shrink with max |x| so the cosine oscillation is resolved;
-    agrees with :func:`capital_lambda` to ~1e-12.
+    agrees with adaptive oscillatory (QAWO) quadrature to ~1e-12.
     """
     _require_flat_top(spec, "the smoothing kernel")
     xs = np.asarray(xs, dtype=float)
@@ -245,7 +223,8 @@ def capital_lambda_trapezoid(c: float, x):
     return float(out[0]) if scalar else out
 
 
-def _check_bandwidth(bandwidth: float) -> float:
+def check_bandwidth(bandwidth: float) -> float:
+    """The bandwidth as a float; DomainError unless it lies in (0, 1]."""
     bandwidth = float(bandwidth)
     if not 0.0 < bandwidth <= 1.0:
         raise DomainError(f"bandwidth must lie in (0, 1], got {bandwidth}")
@@ -255,7 +234,7 @@ def _check_bandwidth(bandwidth: float) -> float:
 def lag_weights(spec: FlatTopSpec, bandwidth: float) -> np.ndarray:
     """Taper values lam(bandwidth * u) for u = 0 .. ceil(S / bandwidth); all
     later lags fall outside the support and contribute exactly zero."""
-    bandwidth = _check_bandwidth(bandwidth)
+    bandwidth = check_bandwidth(bandwidth)
     n = int(math.ceil(support_radius(spec) / bandwidth))
     if n > 10**7:
         raise DomainError(f"bandwidth {bandwidth} is too small to periodize")
@@ -276,7 +255,7 @@ def weight_function(spec: FlatTopSpec, bandwidth: float, x):
 def baseline_weight(bandwidth: float, x):
     """Periodized Epanechnikov weight sum_j (1/B) * W((x + 2*pi*j)/B) with
     W(x) = 0.75 * (1 - x^2) on [-1, 1]."""
-    bandwidth = _check_bandwidth(bandwidth)
+    bandwidth = check_bandwidth(bandwidth)
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(x)

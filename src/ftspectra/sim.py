@@ -31,6 +31,7 @@ from .bandwidth import select_bandwidth
 from .estimator import DEFAULT_FREQUENCIES, estimate_smoothed
 from .kernels import (
     UnsupportedKernelError,
+    check_bandwidth,
     epanechnikov,
     flat_top_parzen,
     infinitely_differentiable,
@@ -220,8 +221,9 @@ class ImseConfig:
     def __post_init__(self):
         if self.n_runs < 2:
             raise DomainError(f"need at least two runs, got {self.n_runs}")
-        if self.bandwidth_mode not in ("rate", "2rate", "auto") and \
-                not isinstance(self.bandwidth_mode, (int, float)):
+        if isinstance(self.bandwidth_mode, (int, float)):
+            check_bandwidth(self.bandwidth_mode)
+        elif self.bandwidth_mode not in ("rate", "2rate", "auto"):
             raise DomainError(f"bad bandwidth mode {self.bandwidth_mode!r}")
 
 
@@ -270,14 +272,18 @@ def _replication_setup(task):
     return T, series, truth, specs, bandwidth_mode, frequencies
 
 
-def _run_replication(task) -> dict:
-    """One (T, replication) cell: simulate, estimate with every kernel spec,
-    and return the per-kernel IMSE against the replication's own truth."""
+def _run_replication(task, estimator_override=None) -> dict:
+    """One (T, replication) cell: simulate, estimate with every kernel spec
+    (the smoothed estimator unless an override is given), and return the
+    per-kernel IMSE against the replication's own truth."""
     T, series, truth, specs, bandwidth_mode, frequencies = _replication_setup(task)
     out = {}
     for spec in specs:
         bandwidth = resolve_bandwidth(bandwidth_mode, T, series=series, spec=spec)
-        est = estimate_smoothed(series, spec, bandwidth, frequencies)
+        if estimator_override is None:
+            est = estimate_smoothed(series, spec, bandwidth, frequencies)
+        else:
+            est = estimator_override(series, spec, bandwidth, frequencies, truth)
         out[spec.identifier] = imse_from_estimate(est, truth)
     return out
 
@@ -309,13 +315,11 @@ def imse_experiment(config: ImseConfig, estimator_override=None) -> list:
                           config.bandwidth_mode, config.d, config.n_basis,
                           config.n_innov, freqs, operators))
 
-    if estimator_override is not None:
-        results = [_run_replication_override(t, estimator_override) for t in tasks]
-    elif config.n_jobs > 1:
+    if estimator_override is None and config.n_jobs > 1:
         with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
             results = list(pool.map(_run_replication, tasks, chunksize=4))
     else:
-        results = [_run_replication(t) for t in tasks]
+        results = [_run_replication(t, estimator_override) for t in tasks]
 
     rows = []
     mode_label = (config.bandwidth_mode if isinstance(config.bandwidth_mode, str)
@@ -337,16 +341,6 @@ def imse_experiment(config: ImseConfig, estimator_override=None) -> list:
                 stderr=se_mean / (mean * math.log(2.0)) if mean > 0.0 else 0.0,
             ))
     return rows
-
-
-def _run_replication_override(task, estimator_override) -> dict:
-    T, series, truth, specs, bandwidth_mode, frequencies = _replication_setup(task)
-    out = {}
-    for spec in specs:
-        bandwidth = resolve_bandwidth(bandwidth_mode, T, series=series, spec=spec)
-        est = estimator_override(series, spec, bandwidth, frequencies, truth)
-        out[spec.identifier] = imse_from_estimate(est, truth)
-    return out
 
 
 def rows_to_csv(rows, path) -> None:

@@ -127,6 +127,14 @@ class TestExitCodes:
                       "--bandwidth", "1.7", "--out", str(tmp_path / "x"))
         assert res.returncode == 1
 
+    def test_unit_bandwidth_accepted(self, data_csv, tmp_path):
+        out = tmp_path / "unit"
+        res = run_cli("estimate", "--input", str(data_csv),
+                      "--bandwidth", "1", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        with open(f"{out}.summary.json") as fh:
+            assert json.load(fh)["bandwidth"] == 1.0
+
     def test_malformed_csv_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("tau_0,tau_1\n0.1,oops\n0.2,0.3\n")
@@ -165,6 +173,28 @@ class TestConfigFile:
         res = run_cli("simulate", "--config", str(cfg), "--T", "16",
                       "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 1
+
+
+    @pytest.mark.parametrize("flag", [["--rep", "2"], ["--rep=2"]],
+                             ids=["abbreviated", "abbreviated-equals"])
+    def test_abbreviated_flag_takes_precedence(self, tmp_path, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"replications": 3}))
+        out = tmp_path / "bench"
+        res = run_cli("bench", *flag, "--config", str(cfg), "--T-list", "64",
+                      "--kernels", "TR", "--d", "8", "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        with open(out / "bench.json") as fh:
+            assert [r["n_runs"] for r in json.load(fh)] == [2]
+
+    def test_command_key_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "bench"}))
+        res = run_cli("simulate", "--config", str(cfg), "--T", "16",
+                      "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"]["type"] == "DomainError"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestBench:

@@ -21,8 +21,9 @@ from ftspectra import (
     make_fma1_model,
     periodogram,
     trapezoid,
+    weight_function,
 )
-from ftspectra.estimator import DEFAULT_FREQUENCIES, _smoothed_from_weight_matrix
+from ftspectra.estimator import DEFAULT_FREQUENCIES
 
 FLAT_TOPS = [trapezoid(), flat_top_parzen(), infinitely_differentiable()]
 IDS = ["TR", "PR", "ID"]
@@ -130,12 +131,28 @@ class TestSmoothedEstimator:
     def test_uniform_weight_recovers_mean_periodogram(self, fma_series):
         s = fma_series
         T = s.n_curves
-        freqs = np.array([0.0, np.pi / 2])
-        weights = np.full((2, T - 1), 1.0 / (2 * np.pi))
-        est = _smoothed_from_weight_matrix(s, weights, freqs, 0.5, "uniform")
+        # trapezoid at bandwidth 1: lam(u) = 0 for u >= 1, so W = 1/(2 pi)
+        est = estimate_smoothed(s, trapezoid(), 1.0,
+                                frequencies=np.array([0.0, np.pi / 2]))
         pmean = sum(periodogram(f).matrix for f in fdft_all(s)[1:]) / T
         for k in est.kernels:
             assert np.max(np.abs(k.matrix - pmean)) < 1e-12 * np.max(np.abs(pmean))
+
+    @pytest.mark.parametrize("T, bandwidth", [(512, 512 ** (-0.2)), (16, 0.05), (64, 1.0)],
+                             ids=["T512-rate", "T16-wrapping-lags", "T64-unit"])
+    @pytest.mark.parametrize("spec", FLAT_TOPS, ids=IDS)
+    def test_smoothed_equals_periodogram_sum(self, spec, T, bandwidth):
+        # the lag form over circular autocovariances against the explicit
+        # (2 pi / T) * sum_{s=1}^{T-1} W(omega - omega_s) p_s; at T = 16,
+        # B = 0.05 the lag count L = ceil(S / B) exceeds T, so lags wrap
+        s = center(generate_fma1(make_fma1_model(11, d=12), T))
+        est = estimate_smoothed(s, spec, bandwidth)
+        ordinates = fdft_all(s)[1:]
+        for w, k in zip(est.frequencies, est.kernels):
+            weights = weight_function(spec, bandwidth, w - np.array([f.omega for f in ordinates]))
+            direct = (2 * np.pi / T) * sum(
+                wt * periodogram(f).matrix for wt, f in zip(weights, ordinates))
+            assert np.max(np.abs(k.matrix - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_white_noise_mean_matches_flat_spectrum(self):
         # iid curves: E fhat = E r0 / (2 pi). The pooled difference must sit
@@ -202,12 +219,6 @@ class TestSmoothedEstimator:
         for b in (0.0, -1.0, 1.0001):
             with pytest.raises(DomainError):
                 estimate_smoothed(fma_series, trapezoid(), b)
-
-    def test_parallel_matches_serial(self, fma_series):
-        a = estimate_smoothed(fma_series, trapezoid(), 0.3, n_jobs=1)
-        b = estimate_smoothed(fma_series, trapezoid(), 0.3, n_jobs=4)
-        for k1, k2 in zip(a.kernels, b.kernels):
-            assert np.array_equal(k1.matrix, k2.matrix)
 
 
 class TestLagWindowEstimator:

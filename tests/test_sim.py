@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ftspectra import (
+    DomainError,
     Fma1Model,
     Grid,
     ImseConfig,
@@ -194,6 +195,11 @@ class TestImseExperiment:
                          redraw_operators=False, kernel_specs=(trapezoid(),))
         rows = imse_experiment(cfg)
         assert rows[0].n_runs == 3  # smoke: runs complete with a shared draw
+
+    def test_explicit_bandwidth_checked_at_construction(self):
+        with pytest.raises(DomainError):
+            ImseConfig(bandwidth_mode=5.0)
+        assert ImseConfig(bandwidth_mode=1.0).bandwidth_mode == 1.0
 
     def test_frequency_weights(self):
         w = imse_frequency_weights(np.pi * np.arange(10) / 10)
