@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DegenerateDataError,
@@ -21,6 +22,7 @@ from .core import (
     center,
     _readonly,
 )
+from .estimator import _autocovariance_stack, _lag_product
 from .kernels import FlatTopSpec, effective_flat_top_radius
 
 __all__ = [
@@ -88,15 +90,13 @@ def correlogram(series: FunctionalSeries, lag: int, tau_idx: int, sigma_idx: int
     lag = int(lag)
     if abs(lag) >= T:
         raise DomainError(f"lag {lag} out of range for T = {T}")
-    v = series.values
-    x, y = v[:, tau_idx], v[:, sigma_idx]
-    vx = float(x @ x) / T
-    vy = float(y @ y) / T
-    if vx <= 0.0 or vy <= 0.0:
+    xy = series.values[:, [tau_idx, sigma_idx]]
+    var = np.diagonal(_lag_product(xy, 0))
+    if np.any(var <= 0.0):
         raise DegenerateDataError("zero variance at a probed grid point")
-    u = abs(lag)
-    num = float(x[u:] @ y[: T - u]) / T if lag >= 0 else float(y[u:] @ x[: T - u]) / T
-    return num / math.sqrt(vx * vy)
+    cross = _lag_product(xy, abs(lag))
+    num = cross[0, 1] if lag >= 0 else cross[1, 0]
+    return float(num / math.sqrt(var[0] * var[1]))
 
 
 def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
@@ -127,10 +127,12 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
     if K_T is None:
         K_T = max(5, math.ceil(math.sqrt(math.log10(T))))
     K_T = int(K_T)
+    if K_T < 0:
+        raise DomainError(f"K_T must be nonnegative, got {K_T}")
 
     idx = gamma_grid_indices(series.d)
     sub = series.values[:, idx]                       # T x 10
-    r0 = (sub * sub).mean(axis=0)
+    r0 = np.diagonal(_lag_product(sub, 0))
     if np.any(r0 <= 0.0):
         raise DegenerateDataError("zero variance at a probed grid point")
     denom = np.sqrt(np.outer(r0, r0))
@@ -140,30 +142,23 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
     if q_cap < 0:
         raise DomainError(f"series too short for the K_T = {K_T} window")
 
-    def rho_ok(max_lag: int) -> np.ndarray:
-        ok = np.empty((max_lag + 1, GRID_SIDE, GRID_SIDE), dtype=bool)
-        for m in range(max_lag + 1):
-            rho = (sub[m:].T @ sub[: T - m]) / T / denom
-            ok[m] = np.abs(rho) < threshold
-        return ok
-
-    q_grid = np.full((GRID_SIDE, GRID_SIDE), -1, dtype=int)
+    # ok[m] flags the pairs with |rhohat_m| below the threshold; shift q passes
+    # when ok holds on every lag of its window, m = q + window_start .. q + K_T.
+    # The lag range doubles until every pair has a passing shift or T - 1 is
+    # reached.
     max_lag = min(T - 1, 4 * K_T + 8)
     while True:
-        ok = rho_ok(max_lag)
-        q_grid[:] = -1
-        for q in range(0, min(q_cap, max_lag - K_T) + 1):
-            window = ok[q + window_start: q + K_T + 1]
-            hit = window.all(axis=0) & (q_grid < 0)
-            q_grid[hit] = q
-            if (q_grid >= 0).all():
-                break
-        if (q_grid >= 0).all() or max_lag >= T - 1:
+        rho = _autocovariance_stack(sub, max_lag, circular=False) / denom
+        ok = np.abs(rho) < threshold
+        passes = sliding_window_view(ok[window_start:], K_T + 1 - window_start,
+                                     axis=0).all(axis=-1)
+        found = passes.any(axis=0)
+        if found.all() or max_lag >= T - 1:
             break
         max_lag = min(T - 1, 2 * max_lag)
 
-    truncated = bool((q_grid < 0).any())
-    q_grid[q_grid < 0] = q_cap
+    truncated = not found.all()
+    q_grid = np.where(found, passes.argmax(axis=0), q_cap)
 
     c_ef = effective_flat_top_radius(spec)
     q_hat = _aggregate(q_grid, aggregation)

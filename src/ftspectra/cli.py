@@ -26,6 +26,7 @@ from .core import (
     ParseError,
     estimate_to_csv_dir,
     estimate_to_json_dict,
+    hermitian_residual,
     series_from_csv,
     series_from_json_dict,
     series_to_csv,
@@ -49,43 +50,43 @@ EXIT_CONFIG = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 
-PARALLEL_ENV = "FTSPECTRA_PARALLEL"
-
-
-def _default_parallelism() -> int:
-    try:
-        return max(1, int(os.environ.get(PARALLEL_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _write_json(path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _read_json_object(path) -> dict:
+    """The JSON object stored in a file; ParseError if the file cannot be
+    read, is not JSON, or holds something other than an object."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"bad JSON in {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path} must hold a JSON object")
+    return obj
+
+
 def _load_series(path):
     if str(path).endswith(".json"):
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: {exc}") from exc
-        return series_from_json_dict(obj)
+        return series_from_json_dict(_read_json_object(path))
     return series_from_csv(path)
 
 
-def _parse_frequencies(text):
-    if text is None:
-        return None
+def _parse_list(text, convert, what: str) -> list:
+    """Parse a comma-separated flag value item by item; empty items are
+    skipped. DomainError on a bad item or an empty list."""
     try:
-        freqs = [float(v) for v in text.split(",") if v.strip()]
+        values = [convert(v) for v in str(text).split(",") if v.strip()]
     except ValueError as exc:
-        raise DomainError(f"bad frequency list: {exc}") from exc
-    if not freqs:
-        raise DomainError("frequency list is empty")
-    return np.asarray(freqs, dtype=float)
+        raise DomainError(f"bad {what} list {text!r}: {exc}") from exc
+    if not values:
+        raise DomainError(f"empty {what} list")
+    return values
 
 
 def _parse_bandwidth_mode(text: str):
@@ -100,19 +101,6 @@ def _parse_bandwidth_mode(text: str):
     return check_bandwidth(value)
 
 
-def _read_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad config JSON {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ParseError(f"config {path} must hold a JSON object")
-    return config
-
-
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Precedence: command-line flags > config file > parser defaults. The
     config file's keys become the chosen subcommand's defaults before the
@@ -125,7 +113,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         sub = subparsers.choices[args.command]
         dests = {a.dest for a in sub._actions if a.dest != "help"}
         defaults = {}
-        for key, value in _read_config(path).items():
+        for key, value in _read_json_object(path).items():
             dest = key.replace("-", "_")
             if dest not in dests:
                 raise DomainError(f"config {path}: unknown option {key!r}")
@@ -191,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="share one operator draw across all replications")
     p_bench.add_argument("--full", action="store_true",
                          help="full-scale run: 200 replications, T up to 2048")
-    p_bench.add_argument("--parallel", type=int, default=None)
+    p_bench.add_argument("--parallel", type=int, default=1,
+                         help="worker processes for the replications (>= 1)")
     p_bench.add_argument("--out-dir", required=True)
     p_bench.add_argument("--config")
 
@@ -199,28 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    if args.T < 2:
-        raise DomainError(f"need --T >= 2, got {args.T}")
     model = make_fma1_model(args.seed, d=args.d)
     series = generate_fma1(model, args.T)
     series_to_csv(series, args.out)
     return EXIT_OK
 
 
-def _hermitian_residual(est) -> float:
-    worst = 0.0
-    for k in est.kernels:
-        scale = float(np.max(np.abs(k.matrix)))
-        if scale > 0.0:
-            resid = float(np.max(np.abs(k.matrix - k.matrix.conj().T))) / scale
-            worst = max(worst, resid)
-    return worst
-
-
 def cmd_estimate(args) -> int:
     series = _load_series(args.input)
     spec = parse_kernel(args.kernel)
-    frequencies = _parse_frequencies(args.frequencies)
+    frequencies = (None if args.frequencies is None
+                   else _parse_list(args.frequencies, float, "frequency"))
     mode = _parse_bandwidth_mode(args.bandwidth)
     bandwidth = resolve_bandwidth(mode, series.n_curves, series=series, spec=spec)
     if args.method == "lagwindow":
@@ -241,7 +219,8 @@ def cmd_estimate(args) -> int:
         "psd_mode": args.psd,
         "eps": float(eps) if args.psd == "definite" else None,
         "frequencies": est.frequencies.tolist(),
-        "hermitian_residual_max": _hermitian_residual(est),
+        "hermitian_residual_max": max(hermitian_residual(k.matrix)
+                                      for k in est.kernels),
         "min_eigenvalue_per_frequency": [min_eigenvalue(k) for k in est.kernels],
     }
     _write_json(f"{args.out}.summary.json", summary)
@@ -258,28 +237,14 @@ def cmd_bandwidth(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str):
-    try:
-        values = [int(v) for v in str(text).split(",") if str(v).strip()]
-    except ValueError as exc:
-        raise DomainError(f"bad integer list {text!r}: {exc}") from exc
-    if not values:
-        raise DomainError("empty integer list")
-    return tuple(values)
-
-
 def cmd_bench(args) -> int:
-    t_list = _parse_int_list(args.T_list)
+    t_list = tuple(_parse_list(args.T_list, int, "T"))
     replications = args.replications
     if args.full:
         t_list = (64, 128, 256, 512, 1024, 2048)
         replications = max(replications, 200)
-    specs = [parse_kernel(name) for name in str(args.kernels).split(",")
-             if name.strip()]
-    if not specs:
-        raise DomainError("no kernels selected")
+    specs = _parse_list(args.kernels, parse_kernel, "kernel")
     mode = _parse_bandwidth_mode(args.bandwidth)
-    n_jobs = args.parallel if args.parallel else _default_parallelism()
     config = ImseConfig(
         T_list=t_list,
         n_runs=replications,
@@ -288,7 +253,7 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         d=args.d,
         redraw_operators=not args.fixed_operators,
-        n_jobs=n_jobs,
+        n_jobs=args.parallel,
     )
     rows = imse_experiment(config)
     os.makedirs(args.out_dir, exist_ok=True)

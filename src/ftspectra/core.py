@@ -133,19 +133,22 @@ class FrequencyKernel:
             raise DomainError(f"omega must lie in [0, 2*pi), got {self.omega}")
         if not np.all(np.isfinite(m)):
             raise NumericError("kernel matrix contains non-finite entries")
-        scale = np.max(np.abs(m))
-        if scale > 0.0:
-            residual = np.max(np.abs(m - m.conj().T))
-            if residual > HERMITIAN_RTOL * scale:
-                raise DomainError(
-                    f"matrix is not Hermitian (relative residual {residual / scale:.3e})"
-                )
+        residual = hermitian_residual(m)
+        if residual > HERMITIAN_RTOL:
+            raise DomainError(f"matrix is not Hermitian (relative residual {residual:.3e})")
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "matrix", _readonly(m))
 
     @property
     def d(self) -> int:
         return self.matrix.shape[0]
+
+
+def hermitian_residual(m: np.ndarray) -> float:
+    """Relative departure from Hermitian symmetry, max |m - m^H| / max |m|;
+    0 for the zero matrix."""
+    scale = np.max(np.abs(m))
+    return float(np.max(np.abs(m - m.conj().T)) / scale) if scale > 0.0 else 0.0
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -237,7 +240,7 @@ def series_from_csv(path) -> FunctionalSeries:
                     rows.append([float(v) for v in row])
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if len(rows) < 2:
         raise ParseError(f"{path}: need at least two data rows")

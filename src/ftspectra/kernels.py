@@ -180,6 +180,16 @@ def lambda_eval(spec: FlatTopSpec, s):
     return float(out[0]) if scalar else out
 
 
+def _gauss_legendre_panels(a: float, b: float, n: int):
+    """Nodes and weights of the 16-point Gauss-Legendre rule on n equal
+    panels of [a, b]."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(a, b, n + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * gl_x).ravel(), (half[:, None] * gl_w).ravel()
+
+
 def capital_lambda_batch(spec: FlatTopSpec, xs) -> np.ndarray:
     """Vectorized Lam(x) on an array of points via panel Gauss-Legendre in s.
 
@@ -190,19 +200,12 @@ def capital_lambda_batch(spec: FlatTopSpec, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     flat = np.abs(xs.ravel())
     xmax = max(1.0, float(flat.max())) if flat.size else 1.0
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-    nodes, weights = [], []
     pts = _branch_points(spec)
-    for a, b in zip(pts[:-1], pts[1:]):
-        # >= 4 panels per cos period at the largest argument
-        n_pan = max(4, int(np.ceil((b - a) * xmax / 4.0)))
-        edges = np.linspace(a, b, n_pan + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes.append((mid[:, None] + half[:, None] * gl_x).ravel())
-        weights.append((half[:, None] * gl_w).ravel())
-    nodes = np.concatenate(nodes)
-    coef = np.concatenate(weights) * lambda_eval(spec, nodes)
+    # >= 4 panels per cos period at the largest argument
+    panels = [_gauss_legendre_panels(a, b, max(4, int(np.ceil((b - a) * xmax / 4.0))))
+              for a, b in zip(pts[:-1], pts[1:])]
+    nodes = np.concatenate([p[0] for p in panels])
+    coef = np.concatenate([p[1] for p in panels]) * lambda_eval(spec, nodes)
     out = np.empty(flat.size, dtype=float)
     chunk = max(1, int(4e6 // max(1, nodes.size)))
     for i in range(0, flat.size, chunk):
@@ -297,13 +300,8 @@ def kernel_moment(spec: FlatTopSpec, k: int, truncation: float = 200.0) -> float
         raise DomainError(f"truncation radius must be positive, got {truncation}")
     if k % 2 == 1:
         return 0.0
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-    n_pan = max(8, int(math.ceil(truncation / 0.8)))
-    edges = np.linspace(0.0, truncation, n_pan + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * gl_x).ravel()
-    weights = (half[:, None] * gl_w).ravel()
+    nodes, weights = _gauss_legendre_panels(
+        0.0, truncation, max(8, int(math.ceil(truncation / 0.8))))
     vals = capital_lambda_batch(spec, nodes)
     return float(2.0 * np.sum(weights * nodes ** k * vals))
 

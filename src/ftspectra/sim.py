@@ -9,6 +9,7 @@ available in closed form, which provides the benchmark's ground truth.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -35,8 +36,6 @@ from .kernels import (
     epanechnikov,
     flat_top_parzen,
     infinitely_differentiable,
-    spec_from_json_dict,
-    spec_to_json_dict,
     trapezoid,
 )
 
@@ -221,6 +220,8 @@ class ImseConfig:
     def __post_init__(self):
         if self.n_runs < 2:
             raise DomainError(f"need at least two runs, got {self.n_runs}")
+        if self.n_jobs < 1:
+            raise DomainError(f"n_jobs must be at least 1, got {self.n_jobs}")
         if isinstance(self.bandwidth_mode, (int, float)):
             check_bandwidth(self.bandwidth_mode)
         elif self.bandwidth_mode not in ("rate", "2rate", "auto"):
@@ -244,10 +245,7 @@ def resolve_bandwidth(mode, T: int, series=None, spec=None) -> float:
     if mode == "rate":
         return T ** (-0.2)
     if mode == "2rate":
-        b = 2.0 * T ** (-0.2)
-        if b > 1.0:
-            raise DomainError(f"2*T^(-1/5) = {b:.3f} exceeds 1 at T = {T}")
-        return b
+        return check_bandwidth(2.0 * T ** (-0.2))
     if mode == "auto":
         if spec is None or not spec.is_flat_top:
             raise UnsupportedKernelError(
@@ -257,33 +255,27 @@ def resolve_bandwidth(mode, T: int, series=None, spec=None) -> float:
     return float(mode)
 
 
-def _replication_setup(task):
-    (T, seed_ss, spec_dicts, bandwidth_mode, d, n_basis, n_innov,
-     frequencies, operators) = task
+def _run_replication(config: ImseConfig, task, estimator_override=None) -> dict:
+    """One (T, replication) cell: simulate from the task's generator stream,
+    estimate with every kernel spec of the config (the smoothed estimator
+    unless an override is given), and return the per-kernel IMSE against the
+    replication's own truth."""
+    T, seed_ss, operators = task
     rng = np.random.default_rng(seed_ss)
     if operators is None:
-        a0, a1 = _draw_operators(rng, n_basis, n_innov)
+        a0, a1 = _draw_operators(rng, config.n_basis, config.n_innov)
     else:
         a0, a1 = operators
-    model = Fma1Model(a0, a1, innovation_variances(n_innov), Grid(d))
+    model = Fma1Model(a0, a1, innovation_variances(config.n_innov), Grid(config.d))
     series = center(generate_fma1(model, T, rng=rng))
-    truth = true_spectrum(model, frequencies)
-    specs = [spec_from_json_dict(sd) for sd in spec_dicts]
-    return T, series, truth, specs, bandwidth_mode, frequencies
-
-
-def _run_replication(task, estimator_override=None) -> dict:
-    """One (T, replication) cell: simulate, estimate with every kernel spec
-    (the smoothed estimator unless an override is given), and return the
-    per-kernel IMSE against the replication's own truth."""
-    T, series, truth, specs, bandwidth_mode, frequencies = _replication_setup(task)
+    truth = true_spectrum(model, config.frequencies)
     out = {}
-    for spec in specs:
-        bandwidth = resolve_bandwidth(bandwidth_mode, T, series=series, spec=spec)
+    for spec in config.kernel_specs:
+        bandwidth = resolve_bandwidth(config.bandwidth_mode, T, series=series, spec=spec)
         if estimator_override is None:
-            est = estimate_smoothed(series, spec, bandwidth, frequencies)
+            est = estimate_smoothed(series, spec, bandwidth, config.frequencies)
         else:
-            est = estimator_override(series, spec, bandwidth, frequencies, truth)
+            est = estimator_override(series, spec, bandwidth, config.frequencies, truth)
         out[spec.identifier] = imse_from_estimate(est, truth)
     return out
 
@@ -299,7 +291,6 @@ def imse_experiment(config: ImseConfig, estimator_override=None) -> list:
     ``estimator_override(series, spec, bandwidth, frequencies, truth)`` is a
     test hook replacing the estimator; it forces the serial path.
     """
-    tasks = []
     ss = np.random.SeedSequence(config.seed)
     n_tasks = len(config.T_list) * config.n_runs
     children = ss.spawn(n_tasks + 1)
@@ -307,19 +298,15 @@ def imse_experiment(config: ImseConfig, estimator_override=None) -> list:
     if not config.redraw_operators:
         rng_op = np.random.default_rng(children[n_tasks])
         operators = _draw_operators(rng_op, config.n_basis, config.n_innov)
-    spec_dicts = [spec_to_json_dict(s) for s in config.kernel_specs]
-    freqs = tuple(config.frequencies)
-    for ti, T in enumerate(config.T_list):
-        for r in range(config.n_runs):
-            tasks.append((int(T), children[ti * config.n_runs + r], spec_dicts,
-                          config.bandwidth_mode, config.d, config.n_basis,
-                          config.n_innov, freqs, operators))
+    tasks = [(int(T), children[ti * config.n_runs + r], operators)
+             for ti, T in enumerate(config.T_list) for r in range(config.n_runs)]
 
+    run = functools.partial(_run_replication, config)
     if estimator_override is None and config.n_jobs > 1:
         with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
-            results = list(pool.map(_run_replication, tasks, chunksize=4))
+            results = list(pool.map(run, tasks, chunksize=4))
     else:
-        results = [_run_replication(t, estimator_override) for t in tasks]
+        results = [run(t, estimator_override) for t in tasks]
 
     rows = []
     mode_label = (config.bandwidth_mode if isinstance(config.bandwidth_mode, str)

@@ -145,6 +145,37 @@ class TestSelectBandwidth:
         assert report.q_hat == T - 9 - 1
         assert np.all(report.q_grid == T - 9 - 1)
 
+    @pytest.mark.parametrize("window_start", [0, 1])
+    def test_window_doubling_matches_brute_force(self, window_start):
+        # a persistent AR(1) keeps the correlogram significant far beyond the
+        # first lag window of 4 K_T + 8, which must double three times
+        T, d, phi = 512, 20, 0.97
+        rng = np.random.default_rng(11)
+        e = rng.standard_normal((T, d))
+        x = np.empty_like(e)
+        x[0] = e[0]
+        for t in range(1, T):
+            x[t] = phi * x[t - 1] + e[t]
+        s = center(FunctionalSeries(Grid(d), x))
+        report = select_bandwidth(s, trapezoid(), window_start=window_start)
+        K = report.K_T
+        assert not report.truncated
+        assert report.q_grid.max() + K > 4 * (4 * K + 8)
+
+        idx = gamma_grid_indices(d)
+        ok = {}
+
+        def below(m, i, j):
+            if (m, i, j) not in ok:
+                ok[m, i, j] = abs(correlogram(s, m, idx[i], idx[j])) < report.threshold
+            return ok[m, i, j]
+
+        for i in range(10):
+            for j in range(10):
+                q = next(q for q in range(T - K)
+                         if all(below(m, i, j) for m in range(q + window_start, q + K + 1)))
+                assert report.q_grid[i, j] == q
+
     def test_pair_bandwidth_query(self, fma_series):
         report = select_bandwidth(fma_series, trapezoid())
         for i, j in [(0, 0), (3, 7)]:
@@ -163,6 +194,8 @@ class TestSelectBandwidth:
             select_bandwidth(fma_series, trapezoid(), window_start=2)
         with pytest.raises(DomainError):
             select_bandwidth(fma_series, trapezoid(), C0=0.0)
+        with pytest.raises(DomainError):
+            select_bandwidth(fma_series, trapezoid(), K_T=-1)
 
 
 class TestRuleMonotonicity:

@@ -143,6 +143,40 @@ class TestExitCodes:
         err = json.loads(res.stderr)
         assert err["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize("command", ["estimate", "bandwidth"])
+    def test_missing_json_input_is_parse_error(self, tmp_path, command):
+        res = run_cli(command, "--input", str(tmp_path / "missing.json"),
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"]["code"] == 2
+
+    @pytest.mark.parametrize("name", ["bin.csv", "bin.json"])
+    def test_undecodable_input_is_parse_error(self, tmp_path, name):
+        (tmp_path / name).write_bytes(b"tau_0,tau_1\n\xff\xfe,1\n")
+        res = run_cli("estimate", "--input", str(tmp_path / name),
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"]["code"] == 2
+
+    def test_directory_json_input_is_parse_error(self, tmp_path):
+        (tmp_path / "x.json").mkdir()
+        res = run_cli("estimate", "--input", str(tmp_path / "x.json"),
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"]["code"] == 2
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--T", "1", "--out", "{tmp}/x.csv"],
+        ["bench", "--T-list", "16", "--bandwidth", "2rate", "--kernels", "TR",
+         "--replications", "2", "--d", "8", "--out-dir", "{tmp}/b"],
+        ["bench", "--parallel", "0", "--T-list", "16", "--kernels", "TR",
+         "--replications", "2", "--d", "8", "--out-dir", "{tmp}/b"],
+    ], ids=["simulate-T1", "bench-2rate-above-1", "bench-parallel-0"])
+    def test_out_of_range_parameter_is_config_error(self, tmp_path, args):
+        res = run_cli(*(a.format(tmp=tmp_path) for a in args))
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"]["type"] == "DomainError"
+
     def test_nonfinite_values_are_numeric_error(self, tmp_path):
         bad = tmp_path / "nan.csv"
         bad.write_text("tau_0,tau_1\nnan,1.0\n0.2,0.3\n")

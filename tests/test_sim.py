@@ -18,7 +18,12 @@ from ftspectra import (
     trapezoid,
     true_spectrum,
 )
-from ftspectra.sim import basis_matrix, imse_frequency_weights, innovation_variances
+from ftspectra.sim import (
+    basis_matrix,
+    imse_frequency_weights,
+    innovation_variances,
+    resolve_bandwidth,
+)
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +205,12 @@ class TestImseExperiment:
         with pytest.raises(DomainError):
             ImseConfig(bandwidth_mode=5.0)
         assert ImseConfig(bandwidth_mode=1.0).bandwidth_mode == 1.0
+
+    def test_out_of_range_parameters_rejected(self):
+        with pytest.raises(DomainError):
+            ImseConfig(n_jobs=0)
+        with pytest.raises(DomainError):
+            resolve_bandwidth("2rate", 16)  # 2 * 16^(-1/5) > 1
 
     def test_frequency_weights(self):
         w = imse_frequency_weights(np.pi * np.arange(10) / 10)
