@@ -3,7 +3,6 @@
 and the periodized weight functions for all three flat-top families."""
 
 import argparse
-import csv
 import os
 import sys
 
@@ -19,17 +18,14 @@ from ftspectra import (  # noqa: E402
     trapezoid,
     weight_function,
 )
+from ftspectra.core import write_csv  # noqa: E402
 
 SPECS = {"tr": trapezoid(), "pr": flat_top_parzen(),
          "id": infinitely_differentiable()}
 
 
 def write_table(path, header, columns):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, [header, *zip(*columns)])
 
 
 def main():

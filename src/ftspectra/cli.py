@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -27,10 +28,13 @@ from .core import (
     estimate_to_csv_dir,
     estimate_to_json_dict,
     hermitian_residual,
+    read_json,
     series_from_csv,
     series_from_json_dict,
     series_to_csv,
+    write_csv,
 )
+from .core import write_json as _write_json
 from .estimator import estimate_lagwindow, estimate_smoothed
 from .kernels import UnsupportedKernelError, check_bandwidth, parse_kernel
 from .psd import clip_estimate, min_eigenvalue
@@ -50,38 +54,25 @@ EXIT_CONFIG = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json_object(path) -> dict:
-    """The JSON object stored in a file; ParseError if the file cannot be
-    read, is not JSON, or holds something other than an object."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"bad JSON in {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path} must hold a JSON object")
-    return obj
-
 
 def _load_series(path):
-    if str(path).endswith(".json"):
-        return series_from_json_dict(_read_json_object(path))
-    return series_from_csv(path)
+    """The series in a CSV or ``.json`` file; ParseError also when its
+    content cannot form a series (too few curves, d not matching the values)."""
+    try:
+        if str(path).endswith(".json"):
+            return series_from_json_dict(read_json(path))
+        return series_from_csv(path)
+    except (DomainError, DimensionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _parse_list(text, convert, what: str) -> list:
-    """Parse a comma-separated flag value item by item; empty items are
-    skipped. DomainError on a bad item or an empty list."""
+    """Parse a comma-separated flag value item by item, not splitting inside
+    a {...} JSON object; empty items are skipped. DomainError on a bad item
+    or an empty list."""
     try:
-        values = [convert(v) for v in str(text).split(",") if v.strip()]
+        items = re.split(r",(?![^{}]*\})", str(text))
+        values = [convert(v) for v in items if v.strip()]
     except ValueError as exc:
         raise DomainError(f"bad {what} list {text!r}: {exc}") from exc
     if not values:
@@ -101,29 +92,42 @@ def _parse_bandwidth_mode(text: str):
     return check_bandwidth(value)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a DomainError (exit 1 with the JSON error)
+    instead of printing the usage text and exiting 2."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Precedence: command-line flags > config file > parser defaults. The
-    config file's keys become the chosen subcommand's defaults before the
-    final parse; a key that is not one of its options is rejected."""
-    args, _ = parser.parse_known_args(argv)
-    path = getattr(args, "config", None)
+    """Precedence: command-line flags > config file > parser defaults. Each
+    config entry goes in as the flag --<key>=<value> right after the
+    subcommand, so argparse checks and converts it like any flag and a later
+    explicit flag wins. A string value goes in as is, any other as JSON;
+    true is a bare switch, false and null leave the default."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
     if path:
-        subparsers = next(a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        sub = subparsers.choices[args.command]
-        dests = {a.dest for a in sub._actions if a.dest != "help"}
-        defaults = {}
-        for key, value in _read_json_object(path).items():
-            dest = key.replace("-", "_")
-            if dest not in dests:
-                raise DomainError(f"config {path}: unknown option {key!r}")
-            defaults[dest] = value
-        sub.set_defaults(**defaults)
+        tokens = []
+        for key, value in read_json(path).items():
+            flag = "--" + key.replace("_", "-")
+            if "--help".startswith(flag):   # would print the usage and exit 0
+                raise DomainError(f"{path}: unknown option {key!r}")
+            if value is True:
+                tokens.append(flag)
+            elif value is not False and value is not None:
+                text = value if isinstance(value, str) else json.dumps(value)
+                tokens.append(f"{flag}={text}")
+        at = next((i + 1 for i, a in enumerate(argv) if not a.startswith("-")), 0)
+        argv[at:at] = tokens
     return parser.parse_args(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ftspectra",
         description="Flat-top kernel spectral density estimation for "
                     "functional time series.",
@@ -278,11 +282,8 @@ def _write_traces(out_dir, config: ImseConfig) -> None:
     header = ["omega"] + [f"tau_{i}" for i in idx]
 
     def write_trace(path, kernels):
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for w, k in zip(freqs, kernels):
-                diag = np.abs(np.diagonal(k.matrix))[idx]
-                fh.write(",".join([repr(float(w))] + [repr(float(v)) for v in diag]) + "\n")
+        write_csv(path, [header] + [[w, *np.abs(np.diagonal(k.matrix))[idx]]
+                                    for w, k in zip(freqs, kernels)])
 
     for spec in config.kernel_specs:
         bandwidth = resolve_bandwidth(config.bandwidth_mode, T,

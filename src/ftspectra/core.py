@@ -195,56 +195,87 @@ class SpectralEstimate:
         object.__setattr__(self, "frequencies", _readonly(f))
         object.__setattr__(self, "kernels", kernels)
 
-    def kernel_at(self, omega: float) -> FrequencyKernel:
-        idx = int(np.argmin(np.abs(self.frequencies - omega)))
-        if not np.isclose(self.frequencies[idx], omega, rtol=0.0, atol=1e-12):
-            raise DomainError(f"no kernel stored at omega = {omega}")
-        return self.kernels[idx]
-
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: every JSON and CSV file of the package goes through
+# write_json, read_json, write_csv and read_csv
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    # repr of a Python float round-trips exactly
-    return repr(float(x))
+def write_json(path, obj) -> None:
+    """Write obj as indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path) -> dict:
+    """The JSON object stored in a file; ParseError if the file cannot be
+    read, is not JSON, or holds something other than an object."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"bad JSON in {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path} must hold a JSON object")
+    return obj
+
+
+def write_csv(path, rows) -> None:
+    """Write rows in the csv module's default dialect. Floats are written as
+    repr(float(v)), which round-trips exactly; other cells as csv writes them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            # an array row formats faster as Python floats than as numpy scalars
+            cells = row.tolist() if isinstance(row, np.ndarray) else row
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                             for v in cells])
+
+
+def read_csv(path, header: bool):
+    """Read a CSV of floats, skipping blank lines: the header row (None
+    unless ``header``) and the data as a float matrix. Every row must have
+    the width of the header, or of the first data row. ParseError, naming
+    path:line for a bad row, on anything that does not read as such."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            head = next(reader, None) if header else None
+            width = len(head) if head else None
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                width = width or len(row)
+                if len(row) != width:
+                    raise ParseError(f"{path}:{reader.line_num}: expected {width} "
+                                     f"columns, got {len(row)}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return head, np.array(rows, dtype=float)
 
 
 def series_to_csv(series: FunctionalSeries, path) -> None:
     """Write a series as CSV: header tau_0..tau_{d-1}, one row per curve."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"tau_{i}" for i in range(series.d)])
-        for row in series.values:
-            writer.writerow([_fmt(v) for v in row])
+    write_csv(path, [[f"tau_{i}" for i in range(series.d)], *series.values])
 
 
 def series_from_csv(path) -> FunctionalSeries:
     """Read a series written by :func:`series_to_csv`. The grid is implied by
     the column count; the centered flag is not stored and resets to False."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or not all(h.startswith("tau_") for h in header):
-                raise ParseError(f"{path}: expected a tau_0..tau_{{d-1}} header row")
-            d = len(header)
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != d:
-                    raise ParseError(f"{path}:{lineno}: expected {d} columns, got {len(row)}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 2:
+    header, values = read_csv(path, header=True)
+    if not header or not all(h.startswith("tau_") for h in header):
+        raise ParseError(f"{path}: expected a tau_0..tau_{{d-1}} header row")
+    if len(values) < 2:
         raise ParseError(f"{path}: need at least two data rows")
-    return FunctionalSeries(Grid(d), np.array(rows, dtype=float), centered=False)
+    return FunctionalSeries(Grid(len(header)), values, centered=False)
 
 
 def series_to_json_dict(series: FunctionalSeries) -> dict:
@@ -260,9 +291,10 @@ def series_from_json_dict(obj: dict) -> FunctionalSeries:
     try:
         d = int(obj["d"])
         values = np.asarray(obj["values"], dtype=float)
+        T = int(obj["T"]) if "T" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad series JSON: {exc}") from exc
-    if "T" in obj and int(obj["T"]) != values.shape[0]:
+    if T is not None and values.shape[:1] != (T,):
         raise ParseError("series JSON: T does not match the number of rows")
     return FunctionalSeries(Grid(d), values, centered=bool(obj.get("centered", False)))
 
@@ -305,44 +337,25 @@ def estimate_from_json_dict(obj: dict) -> SpectralEstimate:
 
 
 def estimate_to_csv_dir(est: SpectralEstimate, path) -> None:
-    """Write an estimate as a directory: meta.json plus one re/im CSV pair
-    per frequency (freq_0000_re.csv, freq_0000_im.csv, ...)."""
+    """Write an estimate as a directory: meta.json (the estimate JSON without
+    its kernels) plus one re/im CSV pair per frequency (freq_0000_re.csv,
+    freq_0000_im.csv, ...)."""
     os.makedirs(path, exist_ok=True)
-    meta = {
-        "frequencies": est.frequencies.tolist(),
-        "bandwidth": float(est.bandwidth),
-        "kernel_id": est.kernel_id,
-        "method": est.method,
-    }
-    with open(os.path.join(path, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    meta = estimate_to_json_dict(est)
+    del meta["kernels"]
+    write_json(os.path.join(path, "meta.json"), meta)
     for i, k in enumerate(est.kernels):
-        for part, data in (("re", k.matrix.real), ("im", k.matrix.imag)):
-            with open(os.path.join(path, f"freq_{i:04d}_{part}.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                for row in data:
-                    writer.writerow([_fmt(v) for v in row])
+        write_csv(os.path.join(path, f"freq_{i:04d}_re.csv"), k.matrix.real)
+        write_csv(os.path.join(path, f"freq_{i:04d}_im.csv"), k.matrix.imag)
 
 
 def estimate_from_csv_dir(path) -> SpectralEstimate:
-    try:
-        with open(os.path.join(path, "meta.json")) as fh:
-            meta = json.load(fh)
-        freqs = np.asarray(meta["frequencies"], dtype=float)
-        kernels = []
-        for i, w in enumerate(freqs):
-            parts = {}
-            for part in ("re", "im"):
-                fname = os.path.join(path, f"freq_{i:04d}_{part}.csv")
-                with open(fname, newline="") as fh:
-                    parts[part] = np.array(
-                        [[float(v) for v in row] for row in csv.reader(fh) if row]
-                    )
-            kernels.append(FrequencyKernel(w, parts["re"] + 1j * parts["im"]))
-        return SpectralEstimate(freqs, tuple(kernels), float(meta["bandwidth"]),
-                                str(meta["kernel_id"]), str(meta["method"]))
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        if isinstance(exc, (DomainError, DimensionError)):
-            raise
-        raise ParseError(f"bad estimate directory {path}: {exc}") from exc
+    """Read a directory written by :func:`estimate_to_csv_dir`."""
+    meta = read_json(os.path.join(path, "meta.json"))
+    freqs = meta.get("frequencies")
+    meta["kernels"] = [
+        {part: read_csv(os.path.join(path, f"freq_{i:04d}_{part}.csv"), header=False)[1]
+         for part in ("re", "im")}
+        for i in range(len(freqs) if isinstance(freqs, list) else 0)
+    ]
+    return estimate_from_json_dict(meta)

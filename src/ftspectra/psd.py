@@ -61,13 +61,17 @@ def eigendecompose(kernel: FrequencyKernel) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
+def _clip(kernel: FrequencyKernel, floor: float) -> FrequencyKernel:
+    w, v = _eigh(kernel)
+    m = (v * np.maximum(w, floor)) @ v.conj().T
+    return FrequencyKernel(kernel.omega, hermitize(m))
+
+
 def clip_to_psd(kernel: FrequencyKernel) -> FrequencyKernel:
     """Replace negative eigenvalues by zero: the Frobenius-norm projection of
     the Hermitian matrix onto the positive semi-definite cone. Idempotent and
     a fixed point on inputs that are already PSD."""
-    w, v = _eigh(kernel)
-    m = (v * np.maximum(w, 0.0)) @ v.conj().T
-    return FrequencyKernel(kernel.omega, hermitize(m))
+    return _clip(kernel, 0.0)
 
 
 def clip_to_pd(kernel: FrequencyKernel, eps: float) -> FrequencyKernel:
@@ -77,9 +81,7 @@ def clip_to_pd(kernel: FrequencyKernel, eps: float) -> FrequencyKernel:
     eps = float(eps)
     if eps <= 0.0:
         raise DomainError(f"eigenvalue floor must be positive, got {eps}")
-    w, v = _eigh(kernel)
-    m = (v * np.maximum(w, eps)) @ v.conj().T
-    return FrequencyKernel(kernel.omega, hermitize(m))
+    return _clip(kernel, eps)
 
 
 def min_eigenvalue(kernel: FrequencyKernel) -> float:

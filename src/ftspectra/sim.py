@@ -8,12 +8,10 @@ available in closed form, which provides the benchmark's ground truth.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +24,8 @@ from .core import (
     center,
     hermitize,
     hs_distance,
+    write_csv,
+    write_json,
     _readonly,
 )
 from .bandwidth import select_bandwidth
@@ -331,27 +331,9 @@ def imse_experiment(config: ImseConfig, estimator_override=None) -> list:
 
 
 def rows_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kernel", "T", "bandwidth_mode", "mean_log2_imse", "stderr"])
-        for r in rows:
-            writer.writerow([r.kernel, r.T, r.bandwidth_mode,
-                             repr(float(r.mean_log2_imse)), repr(float(r.stderr))])
+    write_csv(path, [["kernel", "T", "bandwidth_mode", "mean_log2_imse", "stderr"]]
+              + [[r.kernel, r.T, r.bandwidth_mode, r.mean_log2_imse, r.stderr] for r in rows])
 
 
 def rows_to_json(rows, path) -> None:
-    payload = [
-        {
-            "kernel": r.kernel,
-            "T": r.T,
-            "bandwidth_mode": r.bandwidth_mode,
-            "n_runs": r.n_runs,
-            "mean_imse": float(r.mean_imse),
-            "mean_log2_imse": float(r.mean_log2_imse),
-            "stderr": float(r.stderr),
-        }
-        for r in rows
-    ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, [asdict(r) for r in rows])

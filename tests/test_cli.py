@@ -177,6 +177,34 @@ class TestExitCodes:
         assert res.returncode == 1
         assert json.loads(res.stderr)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("args", [
+        ["estimate", "--input", "{tmp}/in.csv", "--psd", "bogus", "--out", "{tmp}/x"],
+        ["estimate", "--input", "{tmp}/in.csv"],
+        ["simulate", "--T", "abc", "--out", "{tmp}/x.csv"],
+    ], ids=["bad-choice", "missing-required", "bad-int"])
+    def test_bad_flag_is_config_error(self, tmp_path, args):
+        res = run_cli(*(a.format(tmp=tmp_path) for a in args))
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"]["code"] == 1
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["bench", "--help"]])
+    def test_help_and_version_exit_zero(self, args):
+        res = run_cli(*args)
+        assert res.returncode == 0 and res.stdout
+
+    @pytest.mark.parametrize("name, content", [
+        ("one.json", '{"d": 2, "values": [[1.0, 2.0]]}'),
+        ("d.json", '{"d": 3, "values": [[1.0, 2.0], [3.0, 4.0]]}'),
+        ("t.json", '{"d": 2, "T": "abc", "values": [[1.0, 2.0], [3.0, 4.0]]}'),
+        ("wide.csv", "tau_0,tau_1\n1.0," + "9" * 140000 + "\n2.0,3.0\n"),
+    ], ids=["one-row-json", "d-mismatch-json", "T-not-int-json", "huge-field-csv"])
+    def test_unformable_series_is_parse_error(self, tmp_path, name, content):
+        (tmp_path / name).write_text(content)
+        res = run_cli("estimate", "--input", str(tmp_path / name),
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"]["type"] == "ParseError"
+
     def test_nonfinite_values_are_numeric_error(self, tmp_path):
         bad = tmp_path / "nan.csv"
         bad.write_text("tau_0,tau_1\nnan,1.0\n0.2,0.3\n")
@@ -230,6 +258,61 @@ class TestConfigFile:
         assert json.loads(res.stderr)["error"]["type"] == "DomainError"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("entry", [
+        {"replications": 2.5},
+        {"fixed_operators": "no"},
+    ], ids=["float-for-int", "string-for-switch"])
+    def test_wrongly_typed_entry_is_config_error(self, tmp_path, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**entry, "T_list": "32", "kernels": "TR", "d": 8}))
+        res = run_cli("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "b"))
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"]["type"] == "DomainError"
+
+    def test_help_key_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"help": True}))
+        res = run_cli("simulate", "--config", str(cfg), "--T", "16",
+                      "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"]["type"] == "DomainError"
+
+    def test_bad_choice_is_config_error(self, data_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "bogus"}))
+        res = run_cli("estimate", "--config", str(cfg), "--input", str(data_csv),
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 1
+        assert not (tmp_path / "x.json").exists()
+
+    def test_null_and_true_entries(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"parallel": None, "fixed_operators": True,
+                                   "replications": 2, "T_list": "32",
+                                   "kernels": "TR", "d": 8}))
+        res = run_cli("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "b"))
+        assert res.returncode == 0, res.stderr
+        with open(tmp_path / "b" / "bench.json") as fh:
+            assert [r["n_runs"] for r in json.load(fh)] == [2]
+
+    def test_kernel_object_entry(self, data_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kernel": {"family": "ID", "c": 0.1}}))
+        out = tmp_path / "est"
+        res = run_cli("estimate", "--config", str(cfg), "--input", str(data_csv),
+                      "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        with open(f"{out}.summary.json") as fh:
+            assert json.load(fh)["kernel"] == "ID(b=0.25,c=0.1)"
+
+    def test_required_options_from_config(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 16, "d": 4, "out": str(out)}))
+        res = run_cli("simulate", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert series_from_csv(out).n_curves == 16
+
 
 class TestBench:
     def test_outputs_and_reparse(self, tmp_path):
@@ -248,3 +331,13 @@ class TestBench:
         trace = (out / "trace_tr.csv").read_text().splitlines()
         assert trace[0].startswith("omega,")
         assert (out / "trace_truth.csv").exists()
+
+    def test_json_kernel_objects_and_trace_line_endings(self, tmp_path):
+        out = tmp_path / "bench"
+        res = run_cli("bench", "--T-list", "32", "--replications", "2", "--d", "8",
+                      "--kernels", '{"family":"TR","c":0.4},PR', "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        with open(out / "bench.json") as fh:
+            assert [r["kernel"] for r in json.load(fh)] == ["TR(c=0.4)", "PR(c=0.75)"]
+        lines = (out / "trace_tr.csv").read_bytes().split(b"\n")
+        assert lines[-1] == b"" and all(line.endswith(b"\r") for line in lines[:-1])

@@ -25,7 +25,7 @@ from ftspectra import (
     series_to_csv,
     series_to_json_dict,
 )
-from ftspectra.core import ParseError
+from ftspectra.core import ParseError, read_csv, write_csv
 
 from conftest import random_hermitian
 
@@ -229,3 +229,27 @@ class TestSerialization:
         back = estimate_from_csv_dir(tmp_path / "est")
         for k1, k2 in zip(back.kernels, est.kernels):
             assert np.array_equal(k1.matrix, k2.matrix)
+
+    def test_estimate_csv_dir_missing_part_is_parse_error(self, rng, tmp_path):
+        est = SpectralEstimate(np.array([0.1]), (FrequencyKernel(0.1, random_hermitian(rng, 3)),),
+                               0.5, "TR(c=0.5)", "lag-window")
+        estimate_to_csv_dir(est, tmp_path / "est")
+        (tmp_path / "est" / "freq_0000_im.csv").unlink()
+        with pytest.raises(ParseError, match="freq_0000_im.csv"):
+            estimate_from_csv_dir(tmp_path / "est")
+
+    def test_csv_floats_round_trip_and_other_cells_verbatim(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, [["a", "b", "c"], [np.float64(0.1), 1.0 / 3.0, 7]])
+        assert path.read_bytes() == b"a,b,c\r\n0.1,0.3333333333333333,7\r\n"
+        header, values = read_csv(path, header=True)
+        assert header == ["a", "b", "c"]
+        assert values.tolist() == [[0.1, 1.0 / 3.0, 7.0]]
+
+    @pytest.mark.parametrize("text, line", [("1,2\n\n3\n", 3), ("1,2\n3,x\n", 2)],
+                             ids=["ragged", "non-numeric"])
+    def test_read_csv_names_the_bad_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"bad.csv:{line}:"):
+            read_csv(path, header=False)
