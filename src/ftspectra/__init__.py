@@ -7,7 +7,6 @@ from .core import (
     FrequencyKernel,
     FunctionalSeries,
     Grid,
-    NotCenteredError,
     NumericError,
     ParseError,
     SpectralEstimate,
@@ -43,16 +42,12 @@ from .kernels import (
 )
 from .estimator import (
     DEFAULT_FREQUENCIES,
-    AutocovKernel,
-    Fdft,
     autocovariance,
     estimate_lagwindow,
     estimate_smoothed,
     fdft_all,
-    periodogram,
 )
 from .psd import (
-    EigenDecomposition,
     clip_estimate,
     clip_to_pd,
     clip_to_psd,

@@ -122,8 +122,8 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
         raise DomainError(f"bandwidth selection needs T >= 8, got T = {T}")
     if window_start not in (0, 1):
         raise DomainError(f"window_start must be 0 or 1, got {window_start}")
-    if C0 <= 0.0:
-        raise DomainError(f"C0 must be positive, got {C0}")
+    if not (math.isfinite(C0) and C0 > 0.0):
+        raise DomainError(f"C0 must be finite and positive, got {C0}")
     if K_T is None:
         K_T = max(5, math.ceil(math.sqrt(math.log10(T))))
     K_T = int(K_T)

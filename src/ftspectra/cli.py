@@ -22,7 +22,6 @@ from .core import (
     DegenerateDataError,
     DimensionError,
     DomainError,
-    NotCenteredError,
     NumericError,
     ParseError,
     estimate_to_csv_dir,
@@ -272,11 +271,10 @@ def _write_traces(out_dir, config: ImseConfig) -> None:
     for one seeded replication at the largest benchmark T, plus the matching
     exact spectrum."""
     from .bandwidth import gamma_grid_indices
-    from .core import center
 
     T = max(config.T_list)
     model = make_fma1_model(config.seed, d=config.d)
-    series = center(generate_fma1(model, T))
+    series = generate_fma1(model, T)
     freqs = np.linspace(0.0, np.pi, 65)
     idx = gamma_grid_indices(config.d)
     header = ["omega"] + [f"tau_{i}" for i in idx]
@@ -299,8 +297,7 @@ _ERROR_EXITS = (
     ((ParseError,), EXIT_PARSE),
     ((NumericError, DegenerateDataError, np.linalg.LinAlgError, FloatingPointError),
      EXIT_NUMERIC),
-    ((DomainError, DimensionError, NotCenteredError, UnsupportedKernelError,
-      ValueError), EXIT_CONFIG),
+    ((DomainError, DimensionError, UnsupportedKernelError, ValueError), EXIT_CONFIG),
 )
 
 

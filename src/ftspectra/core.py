@@ -24,10 +24,6 @@ class DomainError(ValueError):
     """A parameter lies outside its admissible range."""
 
 
-class NotCenteredError(ValueError):
-    """The operation requires a mean-centered series."""
-
-
 class DegenerateDataError(ValueError):
     """The sample carries no usable variation (e.g. zero variance at a point)."""
 
@@ -74,13 +70,11 @@ class Grid:
 class FunctionalSeries:
     """T curves observed on a shared grid; row t of ``values`` is curve t.
 
-    ``centered`` records whether the sample mean curve has been removed.
     Instances are immutable; every operation returns a new object.
     """
 
     grid: Grid
     values: np.ndarray
-    centered: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -106,15 +100,9 @@ class FunctionalSeries:
 
 
 def center(series: FunctionalSeries) -> FunctionalSeries:
-    """Subtract the sample mean curve.
-
-    Idempotent: centering an already-centered series returns it unchanged,
-    so repeated application is bitwise stable.
-    """
-    if series.centered:
-        return series
-    vals = series.values - series.values.mean(axis=0)
-    return FunctionalSeries(series.grid, vals, centered=True)
+    """Subtract the sample mean curve. Every function that needs centered
+    data calls this on its own input, so callers pass the raw series."""
+    return FunctionalSeries(series.grid, series.values - series.values.mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -269,13 +257,13 @@ def series_to_csv(series: FunctionalSeries, path) -> None:
 
 def series_from_csv(path) -> FunctionalSeries:
     """Read a series written by :func:`series_to_csv`. The grid is implied by
-    the column count; the centered flag is not stored and resets to False."""
+    the column count."""
     header, values = read_csv(path, header=True)
     if not header or not all(h.startswith("tau_") for h in header):
         raise ParseError(f"{path}: expected a tau_0..tau_{{d-1}} header row")
     if len(values) < 2:
         raise ParseError(f"{path}: need at least two data rows")
-    return FunctionalSeries(Grid(len(header)), values, centered=False)
+    return FunctionalSeries(Grid(len(header)), values)
 
 
 def series_to_json_dict(series: FunctionalSeries) -> dict:
@@ -283,11 +271,12 @@ def series_to_json_dict(series: FunctionalSeries) -> dict:
         "d": series.d,
         "T": series.n_curves,
         "values": series.values.tolist(),
-        "centered": series.centered,
     }
 
 
 def series_from_json_dict(obj: dict) -> FunctionalSeries:
+    """Read {"d", "T", "values"}; T is optional and other keys, such as the
+    "centered" flag of older files, are ignored."""
     try:
         d = int(obj["d"])
         values = np.asarray(obj["values"], dtype=float)
@@ -296,7 +285,7 @@ def series_from_json_dict(obj: dict) -> FunctionalSeries:
         raise ParseError(f"bad series JSON: {exc}") from exc
     if T is not None and values.shape[:1] != (T,):
         raise ParseError("series JSON: T does not match the number of rows")
-    return FunctionalSeries(Grid(d), values, centered=bool(obj.get("centered", False)))
+    return FunctionalSeries(Grid(d), values)
 
 
 def matrix_to_json_dict(m: np.ndarray) -> dict:

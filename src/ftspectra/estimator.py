@@ -1,12 +1,11 @@
-"""Frequency-domain machinery: functional DFT, periodogram kernels, sample
-autocovariance kernels, and the two spectral density estimators (smoothed
-periodogram and lag window). For flat-top tapers both estimators are one lag
-sum over a stack of autocovariances, circular or linear."""
+"""Frequency-domain machinery: functional DFT, sample autocovariance kernels,
+and the two spectral density estimators (smoothed periodogram and lag
+window). For flat-top tapers both estimators are one lag sum over a stack of
+autocovariances, circular or linear. Every function centers its own input."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,11 +14,9 @@ from .core import (
     DomainError,
     FrequencyKernel,
     FunctionalSeries,
-    NotCenteredError,
     SpectralEstimate,
     center,
     hermitize,
-    _readonly,
 )
 from .kernels import (
     FlatTopSpec,
@@ -36,57 +33,13 @@ METHOD_SMOOTHED = "smoothed-periodogram"
 METHOD_LAG_WINDOW = "lag-window"
 
 
-@dataclass(frozen=True)
-class Fdft:
-    """Functional discrete Fourier transform at one frequency: a length-d
-    complex coefficient vector on the grid."""
-
-    omega: float
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        object.__setattr__(self, "coefficients", _readonly(c))
-
-
-@dataclass(frozen=True)
-class AutocovKernel:
-    """Sample autocovariance kernel at one integer lag, as a d x d real matrix
-    with entry (i, j) = rhat_u(tau_i, tau_j)."""
-
-    lag: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(np.asarray(self.matrix, dtype=float)))
-
-
-def _require_centered(series: FunctionalSeries) -> None:
-    if not series.centered:
-        raise NotCenteredError("series must be centered; apply center() first")
-
-
-def _fdft_matrix(series: FunctionalSeries) -> np.ndarray:
-    """All fDFT coefficients as a T x d complex matrix, row s = frequency
-    2*pi*s/T. Cost O(d T log T) via an FFT over the time axis."""
-    _require_centered(series)
+def fdft_all(series: FunctionalSeries) -> np.ndarray:
+    """Functional DFT of the centered series at every Fourier frequency
+    2*pi*s/T, s = 0..T-1, as a T x d complex matrix with row s
+    Xtilde_omega(tau_i) = (2*pi*T)^(-1/2) * sum_t X_t(tau_i) e^(-i omega t).
+    Cost O(d T log T) via an FFT over the time axis."""
     T = series.n_curves
-    return np.fft.fft(series.values, axis=0) / math.sqrt(TWO_PI * T)
-
-
-def fdft_all(series: FunctionalSeries) -> list[Fdft]:
-    """Functional DFT at every Fourier frequency 2*pi*s/T, s = 0..T-1:
-    Xtilde_omega(tau_i) = (2*pi*T)^(-1/2) * sum_t X_t(tau_i) e^(-i omega t)."""
-    F = _fdft_matrix(series)
-    T = series.n_curves
-    return [Fdft(TWO_PI * s / T, F[s]) for s in range(T)]
-
-
-def periodogram(fdft: Fdft) -> FrequencyKernel:
-    """Rank-1 periodogram kernel p(tau_i, tau_j) = Xtilde(tau_i) *
-    conj(Xtilde(tau_j)); Hermitian PSD by construction."""
-    c = fdft.coefficients
-    return FrequencyKernel(fdft.omega % TWO_PI, np.outer(c, c.conj()))
+    return np.fft.fft(center(series).values, axis=0) / math.sqrt(TWO_PI * T)
 
 
 def _lag_product(values: np.ndarray, u: int, circular: bool = False) -> np.ndarray:
@@ -98,19 +51,17 @@ def _lag_product(values: np.ndarray, u: int, circular: bool = False) -> np.ndarr
     return (lead.T @ values[: lead.shape[0]]) / T
 
 
-def autocovariance(series: FunctionalSeries, lag: int) -> AutocovKernel:
-    """Sample autocovariance kernel at an integer lag u, |u| < T:
-    rhat_u(tau_i, tau_j) = (1/T) * sum_t X_{t+u}(tau_i) X_t(tau_j) with the
-    sum over all t keeping both indices in range (divisor T, biased form)."""
-    _require_centered(series)
+def autocovariance(series: FunctionalSeries, lag: int) -> np.ndarray:
+    """Sample autocovariance kernel of the centered series at an integer lag
+    u, |u| < T, as a d x d real matrix with entry (i, j)
+    rhat_u(tau_i, tau_j) = (1/T) * sum_t X_{t+u}(tau_i) X_t(tau_j), the sum
+    over all t keeping both indices in range (divisor T, biased form)."""
     T = series.n_curves
     lag = int(lag)
     if abs(lag) >= T:
         raise DomainError(f"lag {lag} out of range for T = {T}")
-    m = _lag_product(series.values, abs(lag))
-    if lag < 0:
-        m = m.T
-    return AutocovKernel(lag, m)
+    m = _lag_product(center(series).values, abs(lag))
+    return m.T if lag < 0 else m
 
 
 def _autocovariance_stack(values: np.ndarray, n_lags: int, circular: bool) -> np.ndarray:
@@ -137,21 +88,20 @@ def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.
     return a + a.conj().transpose(0, 2, 1)
 
 
-def _prepare(series, frequencies):
-    series = center(series)
+def _frequencies(frequencies) -> np.ndarray:
     if frequencies is None:
         frequencies = DEFAULT_FREQUENCIES
-    return series, np.asarray(frequencies, dtype=float)
+    return np.asarray(frequencies, dtype=float)
 
 
 def _flat_top_estimate(series, spec, bandwidth, frequencies, circular,
                        method) -> SpectralEstimate:
-    series, frequencies = _prepare(series, frequencies)
+    frequencies = _frequencies(frequencies)
     lam = lag_weights(spec, bandwidth)
     if not circular:
         lam = lam[: series.n_curves]  # linear lags end at T - 1
     n_lags = int(np.flatnonzero(lam)[-1])  # trailing zero weights add nothing
-    stack = _autocovariance_stack(series.values, n_lags, circular)
+    stack = _autocovariance_stack(center(series).values, n_lags, circular)
     matrices = _lag_sum(stack, lam, frequencies)
     kernels = tuple(FrequencyKernel(w % TWO_PI, m)
                     for w, m in zip(frequencies, matrices))
@@ -163,9 +113,9 @@ def _baseline_smoothed(series, bandwidth, frequencies) -> SpectralEstimate:
     """Epanechnikov-weighted periodogram average. The baseline weight has no
     finite lag form, so the ordinates s = 1..T-1 are summed directly, one
     frequency at a time."""
-    series, frequencies = _prepare(series, frequencies)
+    frequencies = _frequencies(frequencies)
     T = series.n_curves
-    F = _fdft_matrix(series)[1:]  # s = 1..T-1; the s = 0 ordinate is excluded
+    F = fdft_all(series)[1:]  # s = 1..T-1; the s = 0 ordinate is excluded
     om_s = TWO_PI * np.arange(1, T) / T
     scale = TWO_PI / T
     kernels = []

@@ -86,14 +86,15 @@ class FlatTopSpec:
                 c = _DEFAULT_C[family]
             c = float(c)
             if family is KernelFamily.FLAT_TOP_PARZEN:
-                if c <= 0.0:
-                    raise DomainError(f"flat-top Parzen needs c > 0, got {c}")
+                if not (math.isfinite(c) and c > 0.0):
+                    raise DomainError(f"flat-top Parzen needs a finite c > 0, got {c}")
             elif not 0.0 < c < 1.0:
                 raise DomainError(f"{family.value} needs 0 < c < 1, got {c}")
             if family is KernelFamily.INFINITELY_DIFFERENTIABLE:
                 b = _DEFAULT_B if b is None else float(b)
-                if b <= 0.0:
-                    raise DomainError(f"shape parameter b must be positive, got {b}")
+                if not (math.isfinite(b) and b > 0.0):
+                    raise DomainError(
+                        f"shape parameter b must be finite and positive, got {b}")
             elif b is not None:
                 raise DomainError(f"{family.value} takes no shape parameter b")
         if not 0.0 < self.epsilon_ef < 1.0:
@@ -324,11 +325,10 @@ def spec_from_json_dict(obj: dict) -> FlatTopSpec:
         family = KernelFamily(obj["family"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad kernel JSON: {exc}") from exc
-    kwargs = {}
-    if "c" in obj:
-        kwargs["c"] = float(obj["c"])
-    if "b" in obj:
-        kwargs["b"] = float(obj["b"])
+    try:
+        kwargs = {key: float(obj[key]) for key in ("c", "b") if key in obj}
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad kernel JSON: {exc}") from exc
     return FlatTopSpec(family, **kwargs)
 
 
@@ -341,10 +341,11 @@ def parse_kernel(text: str) -> FlatTopSpec:
     text = text.strip()
     if text.startswith("{"):
         try:
-            obj = json.loads(text)
-            return spec_from_json_dict(obj)
-        except (json.JSONDecodeError, ParseError) as exc:
+            return spec_from_json_dict(json.loads(text))
+        except json.JSONDecodeError as exc:
             raise DomainError(f"bad kernel JSON: {exc}") from exc
+        except ParseError as exc:  # already says "bad kernel JSON"
+            raise DomainError(str(exc)) from exc
     try:
         family = KernelFamily(text.upper())
     except ValueError as exc:

@@ -4,7 +4,7 @@ positive definiteness (eigenvalues floored at a small epsilon)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -14,11 +14,9 @@ from .core import (
     NumericError,
     SpectralEstimate,
     hermitize,
-    _readonly,
 )
 
 __all__ = [
-    "EigenDecomposition",
     "eigendecompose",
     "clip_to_psd",
     "clip_to_pd",
@@ -27,24 +25,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Full Hermitian eigendecomposition; eigenvalues real and descending,
-    eigenvector columns orthonormal under the unit-weight inner product."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _readonly(np.asarray(self.eigenvalues, dtype=float)))
-        object.__setattr__(self, "eigenvectors", _readonly(np.asarray(self.eigenvectors, dtype=complex)))
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def _eigh(kernel: FrequencyKernel):
+def eigendecompose(kernel: FrequencyKernel) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (real, descending) and the matching orthonormal
+    eigenvector columns of the Hermitian kernel matrix. Clipping acts on
+    these raw matrix eigenvalues; positive scaling by quadrature weights
+    commutes with clipping, so nothing is lost by not weighting."""
     try:
         w, v = np.linalg.eigh(kernel.matrix)
     except np.linalg.LinAlgError as exc:
@@ -52,17 +37,8 @@ def _eigh(kernel: FrequencyKernel):
     return w[::-1], v[:, ::-1]
 
 
-def eigendecompose(kernel: FrequencyKernel) -> EigenDecomposition:
-    """Eigenvalues (descending) and orthonormal eigenvectors of the Hermitian
-    kernel matrix. Clipping acts on these raw matrix eigenvalues; positive
-    scaling by quadrature weights commutes with clipping, so nothing is lost
-    by not weighting."""
-    w, v = _eigh(kernel)
-    return EigenDecomposition(w, v)
-
-
 def _clip(kernel: FrequencyKernel, floor: float) -> FrequencyKernel:
-    w, v = _eigh(kernel)
+    w, v = eigendecompose(kernel)
     m = (v * np.maximum(w, floor)) @ v.conj().T
     return FrequencyKernel(kernel.omega, hermitize(m))
 
@@ -75,12 +51,12 @@ def clip_to_psd(kernel: FrequencyKernel) -> FrequencyKernel:
 
 
 def clip_to_pd(kernel: FrequencyKernel, eps: float) -> FrequencyKernel:
-    """Floor all eigenvalues at eps > 0, producing a strictly positive
-    definite matrix; differs from the PSD clip by at most eps per clipped
-    eigenvalue. A floor of order 1/T keeps the estimator's accuracy."""
+    """Floor all eigenvalues at a finite eps > 0, producing a strictly
+    positive definite matrix; differs from the PSD clip by at most eps per
+    clipped eigenvalue. A floor of order 1/T keeps the estimator's accuracy."""
     eps = float(eps)
-    if eps <= 0.0:
-        raise DomainError(f"eigenvalue floor must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eigenvalue floor must be finite and positive, got {eps}")
     return _clip(kernel, eps)
 
 

@@ -69,7 +69,7 @@ class TestCorrelogram:
     def test_degenerate_variance(self):
         vals = np.zeros((16, 4))
         vals[:, 1:] = np.random.default_rng(0).standard_normal((16, 3))
-        s = FunctionalSeries(Grid(4), vals, centered=True)
+        s = FunctionalSeries(Grid(4), vals)
         with pytest.raises(DegenerateDataError):
             correlogram(s, 1, 0, 2)
 
@@ -139,7 +139,7 @@ class TestSelectBandwidth:
         T = 16
         v = np.linspace(1.0, 2.0, 12)
         vals = np.outer((-1.0) ** np.arange(T), v)
-        s = FunctionalSeries(Grid(12), vals, centered=True)
+        s = FunctionalSeries(Grid(12), vals)
         report = select_bandwidth(s, trapezoid(), K_T=9)
         assert report.truncated
         assert report.q_hat == T - 9 - 1
@@ -192,8 +192,9 @@ class TestSelectBandwidth:
             select_bandwidth(fma_series, trapezoid(), aggregation="median")
         with pytest.raises(DomainError):
             select_bandwidth(fma_series, trapezoid(), window_start=2)
-        with pytest.raises(DomainError):
-            select_bandwidth(fma_series, trapezoid(), C0=0.0)
+        for C0 in (0.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                select_bandwidth(fma_series, trapezoid(), C0=C0)
         with pytest.raises(DomainError):
             select_bandwidth(fma_series, trapezoid(), K_T=-1)
 

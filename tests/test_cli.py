@@ -59,7 +59,7 @@ class TestEstimate:
         with open(f"{out}.json") as fh:
             est = estimate_from_json_dict(json.load(fh))
 
-        series = center(generate_fma1(make_fma1_model(7, d=40), 128))
+        series = generate_fma1(make_fma1_model(7, d=40), 128)
         expected = estimate_smoothed(series, trapezoid(), 128 ** (-0.2))
         assert np.array_equal(est.frequencies, expected.frequencies)
         for a, b in zip(est.kernels, expected.kernels):
@@ -91,6 +91,22 @@ class TestEstimate:
         assert summary["method"] == "lag-window"
         assert summary["bandwidth"] == 0.25
         assert summary["frequencies"] == [0.0, 0.5, 1.0, 2.0]
+
+    def test_json_centered_key_is_ignored(self, tmp_path):
+        # a "centered": true key does not stop the estimator from removing
+        # the mean of 5
+        values = np.random.default_rng(3).standard_normal((64, 4)) + 5.0
+        outputs = []
+        for extra in ({}, {"centered": True}):
+            path = tmp_path / f"s{len(extra)}.json"
+            obj = {"d": 4, "T": 64, "values": values.tolist(), **extra}
+            path.write_text(json.dumps(obj))
+            out = tmp_path / f"e{len(extra)}"
+            res = run_cli("estimate", "--input", str(path), "--frequencies", "0.1",
+                          "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            outputs.append((tmp_path / f"e{len(extra)}.json").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_auto_bandwidth(self, data_csv, tmp_path):
         out = tmp_path / "auto"
@@ -171,8 +187,21 @@ class TestExitCodes:
          "--replications", "2", "--d", "8", "--out-dir", "{tmp}/b"],
         ["bench", "--parallel", "0", "--T-list", "16", "--kernels", "TR",
          "--replications", "2", "--d", "8", "--out-dir", "{tmp}/b"],
-    ], ids=["simulate-T1", "bench-2rate-above-1", "bench-parallel-0"])
-    def test_out_of_range_parameter_is_config_error(self, tmp_path, args):
+        ["estimate", "--kernel", '{{"family":"TR","c":null}}'],
+        ["estimate", "--kernel", '{{"family":"PR","c":1e400}}'],
+        ["estimate", "--kernel", '{{"family":"PR","c":NaN}}'],
+        ["estimate", "--kernel", '{{"family":"ID","b":NaN}}'],
+        ["estimate", "--kernel", '{{"family":"ID","b":1e400}}'],
+        ["estimate", "--psd", "definite", "--eps", "nan"],
+        ["estimate", "--psd", "definite", "--eps", "inf"],
+        ["bandwidth", "--C0", "nan"],
+        ["bandwidth", "--C0", "inf"],
+    ], ids=["simulate-T1", "bench-2rate-above-1", "bench-parallel-0", "kernel-c-null",
+            "kernel-c-overflow", "kernel-c-nan", "kernel-b-nan", "kernel-b-overflow",
+            "eps-nan", "eps-inf", "C0-nan", "C0-inf"])
+    def test_out_of_range_parameter_is_config_error(self, tmp_path, data_csv, args):
+        if args[0] in ("estimate", "bandwidth"):
+            args = args + ["--input", str(data_csv), "--out", "{tmp}/x"]
         res = run_cli(*(a.format(tmp=tmp_path) for a in args))
         assert res.returncode == 1
         assert json.loads(res.stderr)["error"]["type"] == "DomainError"

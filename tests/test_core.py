@@ -30,9 +30,9 @@ from ftspectra.core import ParseError, read_csv, write_csv
 from conftest import random_hermitian
 
 
-def make_series(values, centered=False):
+def make_series(values):
     values = np.asarray(values, dtype=float)
-    return FunctionalSeries(Grid(values.shape[1]), values, centered=centered)
+    return FunctionalSeries(Grid(values.shape[1]), values)
 
 
 class TestGrid:
@@ -84,13 +84,16 @@ class TestCenter:
     def test_column_means_vanish(self, rng):
         s = make_series(rng.standard_normal((20, 7)) + 3.0)
         c = center(s)
-        assert c.centered
         assert np.max(np.abs(c.values.mean(axis=0))) < 1e-14
 
     def test_idempotent_bitwise(self, rng):
-        s = center(make_series(rng.standard_normal((10, 4))))
-        again = center(s)
-        assert again is s
+        # rows in +/- pairs have column means of exactly 0.0, so centering
+        # such a series, once or twice, leaves every value bit for bit
+        v, w = rng.standard_normal((2, 4))
+        s = make_series(np.vstack([v, -v, w, -w]))
+        once = center(s)
+        assert np.array_equal(once.values, s.values)
+        assert np.array_equal(center(once).values, once.values)
 
 
 class TestHsNorm:
@@ -185,7 +188,7 @@ class TestSerialization:
         series_to_csv(s, path)
         back = series_from_csv(path)
         assert np.array_equal(back.values, s.values)
-        assert back.grid.d == 5 and not back.centered
+        assert back.grid.d == 5
 
     def test_series_csv_header(self, rng, tmp_path):
         s = make_series(rng.standard_normal((3, 4)))
@@ -201,12 +204,11 @@ class TestSerialization:
             series_from_csv(path)
 
     def test_series_json_roundtrip(self, rng):
-        s = center(make_series(rng.standard_normal((6, 3))))
+        s = make_series(rng.standard_normal((6, 3)))
         obj = json.loads(json.dumps(series_to_json_dict(s)))
         back = series_from_json_dict(obj)
         assert np.array_equal(back.values, s.values)
-        assert back.centered
-        assert obj["d"] == 3 and obj["T"] == 6
+        assert sorted(obj) == ["T", "d", "values"] and obj["d"] == 3 and obj["T"] == 6
 
     def test_estimate_json_roundtrip(self, rng):
         freqs = np.array([0.0, 0.5, 1.0])

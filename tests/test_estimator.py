@@ -5,7 +5,6 @@ from ftspectra import (
     DomainError,
     FunctionalSeries,
     Grid,
-    NotCenteredError,
     UnsupportedKernelError,
     autocovariance,
     center,
@@ -19,7 +18,6 @@ from ftspectra import (
     hs_norm,
     infinitely_differentiable,
     make_fma1_model,
-    periodogram,
     trapezoid,
     weight_function,
 )
@@ -40,64 +38,67 @@ def centered(values):
     return center(FunctionalSeries(Grid(values.shape[1]), values))
 
 
+def test_centers_own_input(rng):
+    # fdft_all and autocovariance on a raw series equal, bit for bit, the
+    # same formulas applied to values - values.mean(axis=0)
+    T = 12
+    s = FunctionalSeries(Grid(4), rng.standard_normal((T, 4)) + 5.0)
+    c = s.values - s.values.mean(axis=0)
+    assert np.array_equal(fdft_all(s), np.fft.fft(c, axis=0) / np.sqrt(2 * np.pi * T))
+    for u in (0, 1, 5, T - 1):
+        lagged = (c[u:].T @ c[: T - u]) / T
+        assert np.array_equal(autocovariance(s, u), lagged)
+        assert np.array_equal(autocovariance(s, -u), lagged.T)
+
+
 class TestFdft:
     def test_zero_series(self):
-        s = FunctionalSeries(Grid(3), np.zeros((8, 3)), centered=True)
-        for f in fdft_all(s):
-            assert np.all(f.coefficients == 0.0)
+        s = FunctionalSeries(Grid(3), np.zeros((8, 3)))
+        assert np.all(fdft_all(s) == 0.0)
 
     def test_two_point_alternating(self, rng):
+        # row 1 is the frequency pi
         v = rng.standard_normal(5)
-        s = FunctionalSeries(Grid(5), np.vstack([v, -v]), centered=True)
-        out = fdft_all(s)
-        assert out[1].omega == pytest.approx(np.pi)
+        s = FunctionalSeries(Grid(5), np.vstack([v, -v]))
+        F = fdft_all(s)
         expected = 2.0 * v / np.sqrt(4.0 * np.pi)
-        assert np.allclose(out[1].coefficients, expected, rtol=1e-14)
-        assert np.allclose(out[0].coefficients, 0.0, atol=1e-15)
+        assert np.allclose(F[1], expected, rtol=1e-14)
+        assert np.allclose(F[0], 0.0, atol=1e-15)
 
     def test_parseval(self, fma_series):
         s = fma_series
         T, d = s.n_curves, s.d
-        F = np.array([f.coefficients for f in fdft_all(s)])
+        F = fdft_all(s)
         lhs = (2 * np.pi / T) * np.sum(np.abs(F) ** 2) / d
         rhs = np.sum(s.values**2) / T / d
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_conjugate_pairing(self, fma_series):
-        out = fdft_all(fma_series)
+        F = fdft_all(fma_series)
         T = fma_series.n_curves
         for s in (1, 5, T // 3):
-            assert np.allclose(out[T - s].coefficients,
-                               out[s].coefficients.conj(), rtol=1e-10, atol=1e-14)
+            assert np.allclose(F[T - s], F[s].conj(), rtol=1e-10, atol=1e-14)
 
     def test_requires_centered(self, rng):
-        s = FunctionalSeries(Grid(4), rng.standard_normal((10, 4)))
-        with pytest.raises(NotCenteredError):
-            fdft_all(s)
+        # fdft_all centers its own input: a constant added to each column
+        # leaves the fDFT unchanged, and the frequency-zero row vanishes
+        values = rng.standard_normal((10, 4))
+        F = fdft_all(FunctionalSeries(Grid(4), values))
+        shifted = fdft_all(FunctionalSeries(Grid(4), values + [5.0, -3.0, 0.5, 100.0]))
+        assert np.allclose(shifted, F, rtol=0, atol=1e-12)
+        assert np.allclose(F[0], 0.0, atol=1e-15)
 
 
 class TestPeriodogram:
-    def test_zero_fdft(self):
-        s = FunctionalSeries(Grid(3), np.zeros((4, 3)), centered=True)
-        p = periodogram(fdft_all(s)[1])
-        assert np.all(p.matrix == 0.0)
-
-    def test_rank_one(self, fma_series):
-        f = fdft_all(fma_series)[3]
-        p = periodogram(f)
-        eigs = np.linalg.eigvalsh(p.matrix)
-        top = np.sum(np.abs(f.coefficients) ** 2)
-        assert eigs[-1] == pytest.approx(top, rel=1e-12)
-        assert np.max(np.abs(eigs[:-1])) < 1e-10 * np.linalg.norm(p.matrix)
-
     def test_equals_autocovariance_fourier_sum(self):
         model = make_fma1_model(3, d=8)
         s = center(generate_fma1(model, 32))
         T = s.n_curves
-        covs = {u: autocovariance(s, u).matrix for u in range(-(T - 1), T)}
+        covs = {u: autocovariance(s, u) for u in range(-(T - 1), T)}
+        F = fdft_all(s)
         for si in (1, 7, 20):
             w = 2 * np.pi * si / T
-            direct = periodogram(fdft_all(s)[si]).matrix
+            direct = np.outer(F[si], F[si].conj())
             summed = sum(covs[u] * np.exp(-1j * w * u)
                          for u in range(-(T - 1), T)) / (2 * np.pi)
             assert np.max(np.abs(direct - summed)) < 1e-8
@@ -106,20 +107,22 @@ class TestPeriodogram:
 class TestAutocovariance:
     def test_lag_zero_single_pattern(self):
         v = np.array([1.0, -2.0, 0.5])
-        s = FunctionalSeries(Grid(3), np.vstack([v, v, v, v]), centered=True)
-        r0 = autocovariance(s, 0).matrix
+        s = FunctionalSeries(Grid(3), np.vstack([v, -v, v, -v]))
+        r0 = autocovariance(s, 0)
         assert np.allclose(r0, np.outer(v, v), rtol=1e-14)
 
     def test_max_lag_single_term(self, rng):
-        vals = rng.standard_normal((6, 4))
-        s = FunctionalSeries(Grid(4), vals, centered=True)
-        r = autocovariance(s, 5).matrix
+        # rows in +/- pairs, so the mean is exactly zero
+        half = rng.standard_normal((3, 4))
+        vals = np.stack([half, -half], axis=1).reshape(6, 4)
+        s = FunctionalSeries(Grid(4), vals)
+        r = autocovariance(s, 5)
         assert np.allclose(r, np.outer(vals[5], vals[0]) / 6, rtol=1e-14)
 
     def test_transpose_symmetry_exact(self, fma_series):
         for u in (1, 3, 17):
-            pos = autocovariance(fma_series, u).matrix
-            neg = autocovariance(fma_series, -u).matrix
+            pos = autocovariance(fma_series, u)
+            neg = autocovariance(fma_series, -u)
             assert np.array_equal(neg, pos.T)
 
     def test_lag_out_of_range(self, fma_series):
@@ -134,7 +137,8 @@ class TestSmoothedEstimator:
         # trapezoid at bandwidth 1: lam(u) = 0 for u >= 1, so W = 1/(2 pi)
         est = estimate_smoothed(s, trapezoid(), 1.0,
                                 frequencies=np.array([0.0, np.pi / 2]))
-        pmean = sum(periodogram(f).matrix for f in fdft_all(s)[1:]) / T
+        F = fdft_all(s)[1:]
+        pmean = sum(np.outer(f, f.conj()) for f in F) / T
         for k in est.kernels:
             assert np.max(np.abs(k.matrix - pmean)) < 1e-12 * np.max(np.abs(pmean))
 
@@ -148,10 +152,11 @@ class TestSmoothedEstimator:
         s = center(generate_fma1(make_fma1_model(11, d=12), T))
         est = estimate_smoothed(s, spec, bandwidth)
         ordinates = fdft_all(s)[1:]
+        omegas = 2 * np.pi * np.arange(1, T) / T
         for w, k in zip(est.frequencies, est.kernels):
-            weights = weight_function(spec, bandwidth, w - np.array([f.omega for f in ordinates]))
+            weights = weight_function(spec, bandwidth, w - omegas)
             direct = (2 * np.pi / T) * sum(
-                wt * periodogram(f).matrix for wt, f in zip(weights, ordinates))
+                wt * np.outer(f, f.conj()) for wt, f in zip(weights, ordinates))
             assert np.max(np.abs(k.matrix - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_white_noise_mean_matches_flat_spectrum(self):
@@ -167,7 +172,7 @@ class TestSmoothedEstimator:
             s = centered(rng.standard_normal((T, d)) @ root.T)
             est = estimate_smoothed(s, trapezoid(), 0.25,
                                     frequencies=np.array([np.pi / 3]))
-            r0 = autocovariance(s, 0).matrix
+            r0 = autocovariance(s, 0)
             diffs.append((est.kernels[0].matrix - r0 / (2 * np.pi)).real)
         diffs = np.array(diffs)
         mean = diffs.mean(axis=0)
@@ -225,7 +230,7 @@ class TestLagWindowEstimator:
     def test_only_lag_zero_survives(self, fma_series):
         # trapezoid at bandwidth 1: lam(u) = 0 for every u >= 1
         est = estimate_lagwindow(fma_series, trapezoid(), 1.0)
-        r0 = autocovariance(fma_series, 0).matrix
+        r0 = autocovariance(fma_series, 0)
         for k in est.kernels:
             assert np.allclose(k.matrix, r0 / (2 * np.pi), rtol=1e-12, atol=1e-15)
 

@@ -98,8 +98,8 @@ class TestGenerate:
             ss = np.random.SeedSequence(8)
             for ch in ss.spawn(20):
                 s = center(generate_fma1(iid, T, rng=np.random.default_rng(ch)))
-                r1 = autocovariance(s, 1).matrix
-                r0 = autocovariance(s, 0).matrix
+                r1 = autocovariance(s, 1)
+                r0 = autocovariance(s, 0)
                 acc += np.linalg.norm(r1) / np.linalg.norm(r0)
             norms[T] = acc / 20
         assert norms[4096] < norms[256] / 2.5  # expected factor 4
@@ -115,7 +115,7 @@ class TestGenerate:
         ss = np.random.SeedSequence(21)
         for ch in ss.spawn(reps):
             s = center(generate_fma1(model, T, rng=np.random.default_rng(ch)))
-            r0 = autocovariance(s, 0).matrix
+            r0 = autocovariance(s, 0)
             draws.append(r0[np.ix_(range(0, 40, 8), range(0, 40, 8))])
         draws = np.array(draws)
         mean = draws.mean(axis=0)
