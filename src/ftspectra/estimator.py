@@ -23,6 +23,7 @@ from .kernels import (
     KernelFamily,
     UnsupportedKernelError,
     baseline_weight,
+    check_bandwidth,
     lag_weights,
 )
 
@@ -91,7 +92,10 @@ def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.
 def _frequencies(frequencies) -> np.ndarray:
     if frequencies is None:
         frequencies = DEFAULT_FREQUENCIES
-    return np.asarray(frequencies, dtype=float)
+    frequencies = np.asarray(frequencies, dtype=float)
+    if not np.all(np.isfinite(frequencies)):
+        raise DomainError(f"frequencies must be finite, got {frequencies.tolist()}")
+    return frequencies
 
 
 def _flat_top_estimate(series, spec, bandwidth, frequencies, circular,
@@ -111,16 +115,27 @@ def _flat_top_estimate(series, spec, bandwidth, frequencies, circular,
 
 def _baseline_smoothed(series, bandwidth, frequencies) -> SpectralEstimate:
     """Epanechnikov-weighted periodogram average. The baseline weight has no
-    finite lag form, so the ordinates s = 1..T-1 are summed directly, one
-    frequency at a time."""
+    finite lag form, so the ordinates are summed directly, one frequency at a
+    time, and only those inside the weight's support |omega - omega_s| <= B
+    (mod 2*pi): s from ceil((omega - B) T / (2*pi)) - 1 to
+    floor((omega + B) T / (2*pi)) + 1, reduced mod T, without repeats and
+    without s = 0. The one-ordinate margin on each side leaves the support
+    test to baseline_weight, so every nonzero term of the full sum over
+    s = 1..T-1 is kept."""
     frequencies = _frequencies(frequencies)
+    bandwidth = check_bandwidth(bandwidth)
     T = series.n_curves
-    F = fdft_all(series)[1:]  # s = 1..T-1; the s = 0 ordinate is excluded
-    om_s = TWO_PI * np.arange(1, T) / T
+    F = fdft_all(series)
+    F_conj = F.conj()
     scale = TWO_PI / T
     kernels = []
     for w in frequencies:
-        m = scale * ((F.T * baseline_weight(bandwidth, w - om_s)) @ F.conj())
+        s = np.arange(math.ceil((w - bandwidth) * T / TWO_PI) - 1,
+                      math.floor((w + bandwidth) * T / TWO_PI) + 2)
+        s = np.unique(s % T)
+        s = s[s != 0]
+        weights = baseline_weight(bandwidth, w - TWO_PI * s / T)
+        m = scale * ((F[s].T * weights) @ F_conj[s])
         kernels.append(FrequencyKernel(w % TWO_PI, hermitize(m)))
     return SpectralEstimate(frequencies, tuple(kernels), float(bandwidth), "EPA",
                             METHOD_SMOOTHED)
@@ -139,7 +154,8 @@ def estimate_smoothed(series: FunctionalSeries, spec: FlatTopSpec,
     over the circular autocovariances
     chat_u = (1/T) * sum_{t=0}^{T-1} X_{(t+u) mod T} X_t^T, for L >= T too.
     The Epanechnikov baseline has no finite lag form; its periodized weight
-    multiplies the ordinates directly.
+    multiplies the ordinates directly, summing only those inside its support
+    |omega - 2*pi*s/T| <= B (mod 2*pi), where it is nonzero.
     """
     if spec.family is KernelFamily.EPANECHNIKOV:
         return _baseline_smoothed(series, bandwidth, frequencies)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     TWO_PI,
+    DimensionError,
     DomainError,
     FrequencyKernel,
     FunctionalSeries,
@@ -182,8 +183,9 @@ def true_spectrum(model: Fma1Model, frequencies=None) -> TrueSpectrum:
 
 def imse_frequency_weights(frequencies) -> np.ndarray:
     """Trapezoidal weights for 2 * int_0^pi ... d omega on a uniform grid
-    starting at 0: one grid spacing per point, halved at omega = 0, doubled
-    for the full circle. On the default grid this is (pi/10) per point."""
+    starting at 0 (ImseConfig checks the grid): one grid spacing per point,
+    halved at omega = 0, doubled for the full circle. On the default grid
+    this is (pi/10) per point."""
     frequencies = np.asarray(frequencies, dtype=float)
     h = float(frequencies[1] - frequencies[0]) if frequencies.size > 1 else np.pi
     w = np.full(frequencies.size, h)
@@ -193,7 +195,12 @@ def imse_frequency_weights(frequencies) -> np.ndarray:
 
 def imse_from_estimate(estimate, truth: TrueSpectrum) -> float:
     """Weighted squared Hilbert-Schmidt distance between an estimate and the
-    truth over the frequency grid."""
+    truth over the frequency grid; DimensionError unless both are on the
+    same frequencies."""
+    if not np.array_equal(estimate.frequencies, truth.frequencies):
+        raise DimensionError(
+            f"estimate and truth are on different frequencies: "
+            f"{estimate.frequencies.tolist()} vs {truth.frequencies.tolist()}")
     w = imse_frequency_weights(estimate.frequencies)
     return float(sum(
         wi * hs_distance(a, b) ** 2
@@ -226,6 +233,12 @@ class ImseConfig:
             check_bandwidth(self.bandwidth_mode)
         elif self.bandwidth_mode not in ("rate", "2rate", "auto"):
             raise DomainError(f"bad bandwidth mode {self.bandwidth_mode!r}")
+        f = np.asarray(self.frequencies, dtype=float)
+        if not (f.ndim == 1 and f.size and f[0] == 0.0 and f[-1] < TWO_PI
+                and np.all(np.diff(f) > 0.0)
+                and np.allclose(np.diff(f), f[-1] / max(f.size - 1, 1), rtol=1e-9, atol=0.0)):
+            raise DomainError("IMSE frequencies must be an evenly spaced increasing "
+                              f"grid in [0, 2*pi) starting at 0, got {f.tolist()}")
 
 
 @dataclass(frozen=True)

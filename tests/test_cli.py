@@ -196,9 +196,13 @@ class TestExitCodes:
         ["estimate", "--psd", "definite", "--eps", "inf"],
         ["bandwidth", "--C0", "nan"],
         ["bandwidth", "--C0", "inf"],
+        ["estimate", "--kernel", "EPA", "--frequencies", "0.1,inf"],
+        ["estimate", "--kernel", "EPA", "--frequencies", "nan"],
+        ["estimate", "--kernel", "TR", "--frequencies", "inf"],
     ], ids=["simulate-T1", "bench-2rate-above-1", "bench-parallel-0", "kernel-c-null",
             "kernel-c-overflow", "kernel-c-nan", "kernel-b-nan", "kernel-b-overflow",
-            "eps-nan", "eps-inf", "C0-nan", "C0-inf"])
+            "eps-nan", "eps-inf", "C0-nan", "C0-inf", "EPA-frequency-inf",
+            "EPA-frequency-nan", "TR-frequency-inf"])
     def test_out_of_range_parameter_is_config_error(self, tmp_path, data_csv, args):
         if args[0] in ("estimate", "bandwidth"):
             args = args + ["--input", str(data_csv), "--out", "{tmp}/x"]

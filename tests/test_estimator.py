@@ -7,6 +7,7 @@ from ftspectra import (
     Grid,
     UnsupportedKernelError,
     autocovariance,
+    baseline_weight,
     center,
     epanechnikov,
     estimate_lagwindow,
@@ -155,6 +156,27 @@ class TestSmoothedEstimator:
         omegas = 2 * np.pi * np.arange(1, T) / T
         for w, k in zip(est.frequencies, est.kernels):
             weights = weight_function(spec, bandwidth, w - omegas)
+            direct = (2 * np.pi / T) * sum(
+                wt * np.outer(f, f.conj()) for wt, f in zip(weights, ordinates))
+            assert np.max(np.abs(k.matrix - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("T, bandwidth", [(512, 512 ** (-0.2)), (64, 1.0), (2, 1.0),
+                                              (3, 1.0), (5, 1.0)],
+                             ids=["T512-rate", "T64-unit", "T2-unit", "T3-unit", "T5-unit"])
+    def test_baseline_equals_periodogram_sum(self, T, bandwidth):
+        # EPA sums only the ordinates inside its support; the explicit sum
+        # over every s = 1..T-1 must agree. Frequencies near 0 and 2 pi make
+        # the band wrap, and one sits exactly on an ordinate. With B = 1 the
+        # padded ordinate window holds 3 ordinates at T = 2 (one repeated)
+        # and most of 0..T-1 at T = 3 and 5, wrapping past 0 or T - 1.
+        s = generate_fma1(make_fma1_model(11, d=12), T)
+        freqs = np.unique([0.0, 0.005, 2 * np.pi * (T // 2) / T, 3.0,
+                           2 * np.pi - 0.001])
+        est = estimate_smoothed(s, epanechnikov(), bandwidth, freqs)
+        ordinates = fdft_all(s)[1:]
+        omegas = 2 * np.pi * np.arange(1, T) / T
+        for w, k in zip(freqs, est.kernels):
+            weights = baseline_weight(bandwidth, w - omegas)
             direct = (2 * np.pi / T) * sum(
                 wt * np.outer(f, f.conj()) for wt, f in zip(weights, ordinates))
             assert np.max(np.abs(k.matrix - direct)) <= 1e-12 * np.max(np.abs(direct))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ftspectra import (
+    DimensionError,
     DomainError,
     Fma1Model,
     Grid,
@@ -212,6 +213,18 @@ class TestImseExperiment:
         with pytest.raises(DomainError):
             resolve_bandwidth("2rate", 16)  # 2 * 16^(-1/5) > 1
 
+    @pytest.mark.parametrize("frequencies", [(0.3, 0.4, 2.0), (0.3, 0.4, 0.5),
+                                             (0.0, 0.5, 1.5), (0.0, 0.0), (),
+                                             (0.0, float("inf")), (0.0, 4.0, 8.0)],
+                             ids=["uneven-off-zero", "even-off-zero", "uneven",
+                                  "repeated", "empty", "infinite", "beyond-2pi"])
+    def test_frequency_grid_checked_at_construction(self, frequencies):
+        # imse_frequency_weights assumes an evenly spaced grid from 0
+        with pytest.raises(DomainError):
+            ImseConfig(frequencies=frequencies)
+        for good in [(0.0,), (0.0, 0.5, 1.0)]:
+            assert ImseConfig(frequencies=good).frequencies == good
+
     def test_frequency_weights(self):
         w = imse_frequency_weights(np.pi * np.arange(10) / 10)
         assert w[0] == pytest.approx(np.pi / 10)
@@ -222,6 +235,15 @@ class TestImseExperiment:
         est = estimate_smoothed(series, trapezoid(), 128 ** -0.2)
         val = imse_from_estimate(est, true_spectrum(model))
         assert val > 0.0
+
+    def test_imse_rejects_other_frequency_grid(self, model):
+        # kernels were paired by position: a 10-frequency estimate against a
+        # 2-frequency truth gave a number
+        est = estimate_smoothed(generate_fma1(model, 128), trapezoid(), 128 ** -0.2)
+        with pytest.raises(DimensionError):
+            imse_from_estimate(est, true_spectrum(model, [0.0, 0.5]))
+        with pytest.raises(DimensionError):
+            imse_from_estimate(est, true_spectrum(model, est.frequencies + 0.01))
 
 
 class TestEstimatorMeanRecoversTruth:
