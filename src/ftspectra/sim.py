@@ -182,10 +182,11 @@ def true_spectrum(model: Fma1Model, frequencies=None) -> TrueSpectrum:
 # ---------------------------------------------------------------------------
 
 def imse_frequency_weights(frequencies) -> np.ndarray:
-    """Trapezoidal weights for 2 * int_0^pi ... d omega on a uniform grid
-    starting at 0 (ImseConfig checks the grid): one grid spacing per point,
-    halved at omega = 0, doubled for the full circle. On the default grid
-    this is (pi/10) per point."""
+    """Trapezoidal weights for 2 * int_0^pi ... d omega on a uniform grid in
+    [0, pi) starting at 0 (ImseConfig checks the grid): one grid spacing per
+    point, halved at omega = 0, doubled for the full circle, which the
+    Hermitian symmetry f(-omega) = conj(f(omega)) makes twice the half
+    circle. On the default grid this is (pi/10) per point."""
     frequencies = np.asarray(frequencies, dtype=float)
     h = float(frequencies[1] - frequencies[0]) if frequencies.size > 1 else np.pi
     w = np.full(frequencies.size, h)
@@ -234,11 +235,11 @@ class ImseConfig:
         elif self.bandwidth_mode not in ("rate", "2rate", "auto"):
             raise DomainError(f"bad bandwidth mode {self.bandwidth_mode!r}")
         f = np.asarray(self.frequencies, dtype=float)
-        if not (f.ndim == 1 and f.size and f[0] == 0.0 and f[-1] < TWO_PI
+        if not (f.ndim == 1 and f.size and f[0] == 0.0 and f[-1] < np.pi
                 and np.all(np.diff(f) > 0.0)
                 and np.allclose(np.diff(f), f[-1] / max(f.size - 1, 1), rtol=1e-9, atol=0.0)):
             raise DomainError("IMSE frequencies must be an evenly spaced increasing "
-                              f"grid in [0, 2*pi) starting at 0, got {f.tolist()}")
+                              f"grid in [0, pi) starting at 0, got {f.tolist()}")
 
 
 @dataclass(frozen=True)
