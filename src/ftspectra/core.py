@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,10 +191,35 @@ class SpectralEstimate:
 # ---------------------------------------------------------------------------
 
 def write_json(path, obj) -> None:
-    """Write obj as indented JSON with sorted keys and a trailing newline."""
+    """Write obj as JSON with sorted keys, a 2-space indent and a trailing
+    newline. Dicts, and lists that hold a list or dict, are laid out one
+    entry per line; every other value, such as a matrix row, is one
+    ``json.dumps`` (the C encoder) on one line. Keys must be strings."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        _write_json_value(fh, obj, "\n")
         fh.write("\n")
+
+
+def _write_json_value(fh, obj, newline) -> None:
+    # newline is "\n" plus the indent of the line that holds obj
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be strings")
+        items = [(json.dumps(key) + ": ", obj[key]) for key in sorted(obj)]
+        opening, closing = "{", "}"
+    elif isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple))
+                                                for v in obj):
+        items = [("", v) for v in obj]
+        opening, closing = "[", "]"
+    else:
+        fh.write(json.dumps(obj))
+        return
+    inner = newline + "  "
+    fh.write(opening)
+    for i, (prefix, value) in enumerate(items):
+        fh.write(("," if i else "") + inner + prefix)
+        _write_json_value(fh, value, inner)
+    fh.write(newline + closing)
 
 
 def read_json(path) -> dict:
@@ -227,26 +253,47 @@ def read_csv(path, header: bool):
     """Read a CSV of floats, skipping blank lines: the header row (None
     unless ``header``) and the data as a float matrix. Every row must have
     the width of the header, or of the first data row. ParseError, naming
-    path:line for a bad row, on anything that does not read as such."""
+    path:line for a bad row, on anything that does not read as such.
+
+    The data rows are parsed by ``np.loadtxt``. Whenever it fails, or its
+    result is empty, holds a non-finite value or has another width than the
+    header, the file is read again with the csv module, whose row loop
+    defines the values and the errors."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            head = next(reader, None) if header else None
+            head = next(csv.reader(fh), None) if header else None
             width = len(head) if head else None
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                width = width or len(row)
-                if len(row) != width:
-                    raise ParseError(f"{path}:{reader.line_num}: expected {width} "
-                                     f"columns, got {len(row)}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+            try:
+                with warnings.catch_warnings():
+                    # a file without data rows warns; the rescan handles it
+                    warnings.simplefilter("ignore", UserWarning)
+                    values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                if (values.size and values.shape[1] == (width or values.shape[1])
+                        and np.all(np.isfinite(values))):
+                    return head, values
+            except ValueError:
+                pass
+            fh.seek(0)
+            return _read_csv_rows(path, csv.reader(fh), header)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_csv_rows(path, reader, header: bool):
+    head = next(reader, None) if header else None
+    width = len(head) if head else None
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        width = width or len(row)
+        if len(row) != width:
+            raise ParseError(f"{path}:{reader.line_num}: expected {width} "
+                             f"columns, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     return head, np.array(rows, dtype=float)
 
 

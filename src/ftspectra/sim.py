@@ -182,8 +182,8 @@ def true_spectrum(model: Fma1Model, frequencies=None) -> TrueSpectrum:
 # ---------------------------------------------------------------------------
 
 def imse_frequency_weights(frequencies) -> np.ndarray:
-    """Trapezoidal weights for 2 * int_0^pi ... d omega on a uniform grid in
-    [0, pi) starting at 0 (ImseConfig checks the grid): one grid spacing per
+    """Trapezoidal weights for 2 * int_0^pi ... d omega on the grid
+    pi * j / n, j = 0..n-1 (ImseConfig checks the grid): one grid spacing per
     point, halved at omega = 0, doubled for the full circle, which the
     Hermitian symmetry f(-omega) = conj(f(omega)) makes twice the half
     circle. On the default grid this is (pi/10) per point."""
@@ -235,11 +235,10 @@ class ImseConfig:
         elif self.bandwidth_mode not in ("rate", "2rate", "auto"):
             raise DomainError(f"bad bandwidth mode {self.bandwidth_mode!r}")
         f = np.asarray(self.frequencies, dtype=float)
-        if not (f.ndim == 1 and f.size and f[0] == 0.0 and f[-1] < np.pi
-                and np.all(np.diff(f) > 0.0)
-                and np.allclose(np.diff(f), f[-1] / max(f.size - 1, 1), rtol=1e-9, atol=0.0)):
-            raise DomainError("IMSE frequencies must be an evenly spaced increasing "
-                              f"grid in [0, pi) starting at 0, got {f.tolist()}")
+        if not (f.ndim == 1 and f.size and np.allclose(
+                f, np.pi * np.arange(f.size) / f.size, rtol=1e-9, atol=0.0)):
+            raise DomainError("IMSE frequencies must be the grid pi * j / n, "
+                              f"j = 0..n-1, which covers [0, pi), got {f.tolist()}")
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,20 @@ class TestEstimate:
         for a, b in zip(disk.kernels, expected.kernels):
             assert np.array_equal(a.matrix, b.matrix)
 
+    def test_rerun_is_byte_identical_one_matrix_row_per_line(self, data_csv, tmp_path):
+        outputs = []
+        for name in ("a", "b"):
+            res = run_cli("estimate", "--input", str(data_csv), "--kernel", "TR",
+                          "--out", str(tmp_path / name))
+            assert res.returncode == 0, res.stderr
+            outputs.append([(tmp_path / f"{name}{suffix}").read_bytes()
+                            for suffix in (".json", ".summary.json")])
+        assert outputs[0] == outputs[1]
+        with open(tmp_path / "a.json") as fh:
+            rows = json.load(fh)["kernels"][0]["re"]
+        lines = {line.strip().rstrip(",") for line in outputs[0][0].decode().splitlines()}
+        assert len(rows) == 40 and all(json.dumps(row) in lines for row in rows)
+
     def test_psd_clip_reported_in_summary(self, data_csv, tmp_path):
         out = tmp_path / "clipped"
         res = run_cli("estimate", "--input", str(data_csv), "--kernel", "PR",

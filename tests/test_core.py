@@ -25,7 +25,8 @@ from ftspectra import (
     series_to_csv,
     series_to_json_dict,
 )
-from ftspectra.core import ParseError, read_csv, write_csv
+from ftspectra import core
+from ftspectra.core import ParseError, read_csv, write_csv, write_json
 
 from conftest import random_hermitian
 
@@ -255,3 +256,124 @@ class TestSerialization:
         path.write_text(text)
         with pytest.raises(ParseError, match=f"bad.csv:{line}:"):
             read_csv(path, header=False)
+
+
+def _random_float_rows():
+    # repr'd floats over the whole exponent range, subnormals, and values
+    # that need all 17 significant digits
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((20, 3)) * 10.0 ** rng.integers(-300, 300, (20, 3))
+    values[0] = [5e-324, 2.2250738585072014e-308 / 3, -1.7976931348623157e308]
+    values[1] = [0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0]
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)
+
+
+CSV_CASES = {
+    "quoted-field": 'a,b\n"1.5",2\n',
+    "spaces-around-number": "a,b\n 1.5 ,\t2\n",
+    "underscore": "a,b\n1_0,2\n",
+    "empty-field": "a,b\n1,\n",
+    "trailing-comma": "a,b\n1,2,\n",
+    "hash-row": "a,b\n1,2\n# note\n3,4\n",
+    "whitespace-row": "a,b\n1,2\n   \n3,4\n",
+    "ragged-row": "a,b\n1,2\n3\n",
+    "header-width-mismatch": "a,b,c\n1,2\n3,4\n",
+    "header-only": "a,b\n",
+    "huge-field": "a,b\n1.0," + "9" * 140000 + "\n2.0,3.0\n",
+    "nan-inf": "a,b\nnan,inf\n-inf,1\n",
+    "cr-only": "a,b\r1,2\r3,4\r",
+    "crlf": "a,b\r\n1,2\r\n\r\n3,4\r\n",
+    "single-column": "a\n1\n2\n",
+    "random-floats": "a,b,c\n" + _random_float_rows(),
+}
+
+
+def _outcome(path, header):
+    try:
+        head, values = read_csv(path, header=header)
+    except ParseError as exc:
+        return "error", str(exc)
+    return head, values
+
+
+class TestReadCsvMatchesRowLoop:
+    """read_csv parses with np.loadtxt; the csv-module row loop it falls back
+    to defines the values and errors. With loadtxt made to fail, every file
+    goes through the loop, and both ways must agree bit for bit."""
+
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+    @pytest.mark.parametrize("name", list(CSV_CASES))
+    def test_same_values_or_same_error(self, tmp_path, monkeypatch, recwarn, name, header):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(CSV_CASES[name].encode())
+        fast = _outcome(path, header)
+        assert not recwarn.list
+
+        def fail(*args, **kwargs):
+            raise ValueError("loadtxt disabled")
+        monkeypatch.setattr(core.np, "loadtxt", fail)
+        loop = _outcome(path, header)
+        assert fast[0] == loop[0]
+        if fast[0] == "error":
+            assert fast[1] == loop[1]
+        else:
+            assert fast[1].dtype == loop[1].dtype and np.array_equal(
+                fast[1], loop[1], equal_nan=True)
+
+    @pytest.mark.parametrize("name", list(CSV_CASES))
+    def test_loop_runs_only_where_loadtxt_cannot_decide(self, tmp_path, monkeypatch, name):
+        # the comparison above tests the loadtxt path only for the files
+        # whose loadtxt result is kept
+        loop = []
+        monkeypatch.setattr(core, "_read_csv_rows",
+                            lambda *args, f=core._read_csv_rows: loop.append(1) or f(*args))
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(CSV_CASES[name].encode())
+        _outcome(path, header=True)
+        plain = name in ("spaces-around-number", "cr-only", "crlf", "single-column",
+                         "random-floats")
+        assert loop == ([] if plain else [1])
+
+
+class TestWriteJson:
+    OBJ = {
+        "nested": {"z": [], "a": {}, "m": [[1.0, -2.5], [], [[3]]]},
+        "rows": [{"b": 1, "a": None}, [True, False, None]],
+        "none": None, "yes": True, "no": False, "int": -7, "zero": 0,
+        "big": 1.7976931348623157e308, "small": 5e-324, "third": 1.0 / 3.0,
+        "text": 'quote " backslash \\ newline \n non-ascii \u00e9\u2713',
+        "": "empty key",
+    }
+
+    def test_round_trip(self, tmp_path):
+        write_json(tmp_path / "o.json", self.OBJ)
+        with open(tmp_path / "o.json") as fh:
+            assert json.load(fh) == self.OBJ
+
+    def test_sorted_keys(self, tmp_path):
+        write_json(tmp_path / "o.json", self.OBJ)
+        orders = []
+        with open(tmp_path / "o.json") as fh:
+            json.load(fh, object_pairs_hook=lambda pairs: orders.append(
+                [k for k, _ in pairs]))
+        assert len(orders) == 4 and all(keys == sorted(keys) for keys in orders)
+
+    def test_layout_one_leaf_list_per_line(self, tmp_path):
+        write_json(tmp_path / "o.json", {"m": [[1.0, 2.0], [3.0, 4.0]], "b": [],
+                                         "a": {"k": [0.5, "x"]}, "e": {}})
+        assert (tmp_path / "o.json").read_text() == (
+            '{\n'
+            '  "a": {\n'
+            '    "k": [0.5, "x"]\n'
+            '  },\n'
+            '  "b": [],\n'
+            '  "e": {},\n'
+            '  "m": [\n'
+            '    [1.0, 2.0],\n'
+            '    [3.0, 4.0]\n'
+            '  ]\n'
+            '}\n')
+
+    def test_top_level_leaf_ends_with_newline(self, tmp_path):
+        write_json(tmp_path / "o.json", [1.5, None])
+        assert (tmp_path / "o.json").read_text() == "[1.5, null]\n"

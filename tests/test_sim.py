@@ -215,15 +215,18 @@ class TestImseExperiment:
 
     @pytest.mark.parametrize("frequencies", [(0.3, 0.4, 2.0), (0.3, 0.4, 0.5),
                                              (0.0, 0.5, 1.5), (0.0, 0.0), (),
-                                             (0.0, float("inf")), (0.0, 2.0, 4.0)],
+                                             (0.0, float("inf")), (0.0, 2.0, 4.0),
+                                             (0.0, 0.5, 1.0)],
                              ids=["uneven-off-zero", "even-off-zero", "uneven",
-                                  "repeated", "empty", "infinite", "beyond-pi"])
+                                  "repeated", "empty", "infinite", "beyond-pi",
+                                  "partial-band"])
     def test_frequency_grid_checked_at_construction(self, frequencies):
-        # imse_frequency_weights assumes an evenly spaced grid from 0 that
-        # stays below pi, since it doubles the half-circle integral
+        # imse_frequency_weights integrates over [0, n * h) for n points of
+        # spacing h and doubles that half-circle integral, so the grid must
+        # be pi * j / n, j = 0..n-1
         with pytest.raises(DomainError):
             ImseConfig(frequencies=frequencies)
-        for good in [(0.0,), (0.0, 0.5, 1.0)]:
+        for good in [(0.0,), (0.0, np.pi / 3, 2 * np.pi / 3)]:
             assert ImseConfig(frequencies=good).frequencies == good
 
     def test_frequency_weights(self):
