@@ -268,7 +268,7 @@ def read_csv(path, header: bool):
                     # a file without data rows warns; the rescan handles it
                     warnings.simplefilter("ignore", UserWarning)
                     values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-                if (values.size and values.shape[1] == (width or values.shape[1])
+                if (values.size and width in (None, values.shape[1])
                         and np.all(np.isfinite(values))):
                     return head, values
             except ValueError:

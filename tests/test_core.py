@@ -279,13 +279,24 @@ CSV_CASES = {
     "ragged-row": "a,b\n1,2\n3\n",
     "header-width-mismatch": "a,b,c\n1,2\n3,4\n",
     "header-only": "a,b\n",
+    "one-column-header-only": "a\n",
+    "empty-file": "",
+    "blank-lines-only": "\n\r\n\n",
     "huge-field": "a,b\n1.0," + "9" * 140000 + "\n2.0,3.0\n",
     "nan-inf": "a,b\nnan,inf\n-inf,1\n",
     "cr-only": "a,b\r1,2\r3,4\r",
     "crlf": "a,b\r\n1,2\r\n\r\n3,4\r\n",
     "single-column": "a\n1\n2\n",
+    "invalid-utf8": "a,b\n" + "1.5,2.5\n" * 3000 + "1,\udcff\n3,4\n",
     "random-floats": "a,b,c\n" + _random_float_rows(),
 }
+
+
+def _case_file(tmp_path, name):
+    # \udcff is written as the byte 0xff, which is not UTF-8
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(CSV_CASES[name].encode("utf-8", "surrogateescape"))
+    return path
 
 
 def _outcome(path, header):
@@ -304,8 +315,7 @@ class TestReadCsvMatchesRowLoop:
     @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
     @pytest.mark.parametrize("name", list(CSV_CASES))
     def test_same_values_or_same_error(self, tmp_path, monkeypatch, recwarn, name, header):
-        path = tmp_path / f"{name}.csv"
-        path.write_bytes(CSV_CASES[name].encode())
+        path = _case_file(tmp_path, name)
         fast = _outcome(path, header)
         assert not recwarn.list
 
@@ -327,9 +337,7 @@ class TestReadCsvMatchesRowLoop:
         loop = []
         monkeypatch.setattr(core, "_read_csv_rows",
                             lambda *args, f=core._read_csv_rows: loop.append(1) or f(*args))
-        path = tmp_path / f"{name}.csv"
-        path.write_bytes(CSV_CASES[name].encode())
-        _outcome(path, header=True)
+        _outcome(_case_file(tmp_path, name), header=True)
         plain = name in ("spaces-around-number", "cr-only", "crlf", "single-column",
                          "random-floats")
         assert loop == ([] if plain else [1])
