@@ -115,7 +115,10 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
     single outlying pair from dominating; ``max`` is the conservative variant.
     If some pair stays significant through the largest testable shift, its
     entry is capped at T - K_T - 1 and the report is flagged as truncated.
+    UnsupportedKernelError, before any search, for a spec without an
+    effective flat-top radius (the Epanechnikov baseline).
     """
+    c_ef = effective_flat_top_radius(spec)
     series = center(series)
     T = series.n_curves
     if T < 8:
@@ -160,7 +163,6 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
     truncated = not found.all()
     q_grid = np.where(found, passes.argmax(axis=0), q_cap)
 
-    c_ef = effective_flat_top_radius(spec)
     q_hat = _aggregate(q_grid, aggregation)
     return BandwidthReport(
         q_hat=q_hat,

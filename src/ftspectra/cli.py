@@ -35,12 +35,13 @@ from .core import (
 )
 from .core import write_json as _write_json
 from .estimator import estimate_lagwindow, estimate_smoothed
-from .kernels import UnsupportedKernelError, check_bandwidth, parse_kernel
+from .kernels import UnsupportedKernelError, parse_kernel
 from .psd import clip_estimate, min_eigenvalue
 from .sim import (
     ImseConfig,
     generate_fma1,
     make_fma1_model,
+    parse_bandwidth_mode,
     resolve_bandwidth,
     rows_to_csv,
     rows_to_json,
@@ -77,18 +78,6 @@ def _parse_list(text, convert, what: str) -> list:
     if not values:
         raise DomainError(f"empty {what} list")
     return values
-
-
-def _parse_bandwidth_mode(text: str):
-    if text in ("auto", "rate", "2rate"):
-        return text
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise DomainError(
-            f"bandwidth must be 'auto', 'rate', '2rate' or a number, got {text!r}"
-        ) from exc
-    return check_bandwidth(value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,8 +191,8 @@ def cmd_estimate(args) -> int:
     spec = parse_kernel(args.kernel)
     frequencies = (None if args.frequencies is None
                    else _parse_list(args.frequencies, float, "frequency"))
-    mode = _parse_bandwidth_mode(args.bandwidth)
-    bandwidth = resolve_bandwidth(mode, series.n_curves, series=series, spec=spec)
+    mode = parse_bandwidth_mode(args.bandwidth)
+    bandwidth = resolve_bandwidth(mode, series, spec)
     if args.method == "lagwindow":
         est = estimate_lagwindow(series, spec, bandwidth, frequencies)
     else:
@@ -247,12 +236,11 @@ def cmd_bench(args) -> int:
         t_list = (64, 128, 256, 512, 1024, 2048)
         replications = max(replications, 200)
     specs = _parse_list(args.kernels, parse_kernel, "kernel")
-    mode = _parse_bandwidth_mode(args.bandwidth)
     config = ImseConfig(
         T_list=t_list,
         n_runs=replications,
         kernel_specs=tuple(specs),
-        bandwidth_mode=mode,
+        bandwidth_mode=args.bandwidth,
         seed=args.seed,
         d=args.d,
         redraw_operators=not args.fixed_operators,
@@ -284,8 +272,7 @@ def _write_traces(out_dir, config: ImseConfig) -> None:
                                     for w, k in zip(freqs, kernels)])
 
     for spec in config.kernel_specs:
-        bandwidth = resolve_bandwidth(config.bandwidth_mode, T,
-                                      series=series, spec=spec)
+        bandwidth = resolve_bandwidth(config.bandwidth_mode, series, spec)
         est = estimate_smoothed(series, spec, bandwidth, freqs)
         name = spec.identifier.split("(")[0].lower()
         write_trace(os.path.join(out_dir, f"trace_{name}.csv"), est.kernels)

@@ -106,26 +106,36 @@ def center(series: FunctionalSeries) -> FunctionalSeries:
     return FunctionalSeries(series.grid, series.values - series.values.mean(axis=0))
 
 
+def check_frequencies(frequencies) -> np.ndarray:
+    """The frequencies as a float array; DimensionError unless it is
+    one-dimensional, DomainError unless it is finite, strictly increasing
+    and within [0, 2*pi)."""
+    f = np.asarray(frequencies, dtype=float)
+    if f.ndim != 1:
+        raise DimensionError("frequencies must be one-dimensional")
+    if not np.all(np.isfinite(f)):
+        raise DomainError(f"frequencies must be finite, got {f.tolist()}")
+    if f.size and (f[0] < 0.0 or f[-1] >= TWO_PI or np.any(np.diff(f) <= 0.0)):
+        raise DomainError("frequencies must be strictly increasing within [0, 2*pi)")
+    return f
+
+
 @dataclass(frozen=True)
 class FrequencyKernel:
     """One d x d complex Hermitian matrix approximating f(tau_i, tau_j) at
-    a single frequency omega in [0, 2*pi)."""
+    one frequency; the frequency is held by the estimate the kernel is in."""
 
-    omega: float
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"kernel matrix must be square, got shape {m.shape}")
-        if not (0.0 <= float(self.omega) < TWO_PI):
-            raise DomainError(f"omega must lie in [0, 2*pi), got {self.omega}")
         if not np.all(np.isfinite(m)):
             raise NumericError("kernel matrix contains non-finite entries")
         residual = hermitian_residual(m)
         if residual > HERMITIAN_RTOL:
             raise DomainError(f"matrix is not Hermitian (relative residual {residual:.3e})")
-        object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "matrix", _readonly(m))
 
     @property
@@ -171,16 +181,12 @@ class SpectralEstimate:
     method: str
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
+        f = check_frequencies(self.frequencies)
         kernels = tuple(self.kernels)
-        if f.ndim != 1:
-            raise DimensionError("frequencies must be one-dimensional")
         if len(kernels) != f.size:
             raise DimensionError(
                 f"{len(kernels)} kernels for {f.size} frequencies"
             )
-        if f.size and (f[0] < 0.0 or f[-1] >= TWO_PI or np.any(np.diff(f) <= 0.0)):
-            raise DomainError("frequencies must be strictly increasing within [0, 2*pi)")
         object.__setattr__(self, "frequencies", _readonly(f))
         object.__setattr__(self, "kernels", kernels)
 
@@ -359,12 +365,8 @@ def estimate_to_json_dict(est: SpectralEstimate) -> dict:
 
 def estimate_from_json_dict(obj: dict) -> SpectralEstimate:
     try:
-        freqs = np.asarray(obj["frequencies"], dtype=float)
-        kernels = tuple(
-            FrequencyKernel(w, matrix_from_json_dict(k))
-            for w, k in zip(freqs, obj["kernels"])
-        )
-        return SpectralEstimate(freqs, kernels, float(obj["bandwidth"]),
+        kernels = tuple(FrequencyKernel(matrix_from_json_dict(k)) for k in obj["kernels"])
+        return SpectralEstimate(obj["frequencies"], kernels, float(obj["bandwidth"]),
                                 str(obj["kernel_id"]), str(obj["method"]))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (DomainError, DimensionError)):

@@ -16,6 +16,7 @@ from .core import (
     FunctionalSeries,
     SpectralEstimate,
     center,
+    check_frequencies,
     hermitize,
 )
 from .kernels import (
@@ -90,12 +91,7 @@ def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.
 
 
 def _frequencies(frequencies) -> np.ndarray:
-    if frequencies is None:
-        frequencies = DEFAULT_FREQUENCIES
-    frequencies = np.asarray(frequencies, dtype=float)
-    if not np.all(np.isfinite(frequencies)):
-        raise DomainError(f"frequencies must be finite, got {frequencies.tolist()}")
-    return frequencies
+    return check_frequencies(DEFAULT_FREQUENCIES if frequencies is None else frequencies)
 
 
 def _flat_top_estimate(series, spec, bandwidth, frequencies, circular,
@@ -107,8 +103,7 @@ def _flat_top_estimate(series, spec, bandwidth, frequencies, circular,
     n_lags = int(np.flatnonzero(lam)[-1])  # trailing zero weights add nothing
     stack = _autocovariance_stack(center(series).values, n_lags, circular)
     matrices = _lag_sum(stack, lam, frequencies)
-    kernels = tuple(FrequencyKernel(w % TWO_PI, m)
-                    for w, m in zip(frequencies, matrices))
+    kernels = tuple(FrequencyKernel(m) for m in matrices)
     return SpectralEstimate(frequencies, kernels, float(bandwidth),
                             spec.identifier, method)
 
@@ -136,7 +131,7 @@ def _baseline_smoothed(series, bandwidth, frequencies) -> SpectralEstimate:
         s = s[s != 0]
         weights = baseline_weight(bandwidth, w - TWO_PI * s / T)
         m = scale * ((F[s].T * weights) @ F_conj[s])
-        kernels.append(FrequencyKernel(w % TWO_PI, hermitize(m)))
+        kernels.append(FrequencyKernel(hermitize(m)))
     return SpectralEstimate(frequencies, tuple(kernels), float(bandwidth), "EPA",
                             METHOD_SMOOTHED)
 

@@ -115,15 +115,16 @@ class FlatTopSpec:
         return f"{self.family.value}(c={self.c:g})"
 
 
-def trapezoid(c: float = 0.5) -> FlatTopSpec:
+def trapezoid(c: float | None = None) -> FlatTopSpec:
     return FlatTopSpec(KernelFamily.TRAPEZOID, c=c)
 
 
-def flat_top_parzen(c: float = 0.75) -> FlatTopSpec:
+def flat_top_parzen(c: float | None = None) -> FlatTopSpec:
     return FlatTopSpec(KernelFamily.FLAT_TOP_PARZEN, c=c)
 
 
-def infinitely_differentiable(b: float = 0.25, c: float = 0.05) -> FlatTopSpec:
+def infinitely_differentiable(b: float | None = None,
+                              c: float | None = None) -> FlatTopSpec:
     return FlatTopSpec(KernelFamily.INFINITELY_DIFFERENTIABLE, c=c, b=b)
 
 

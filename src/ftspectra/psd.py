@@ -40,7 +40,7 @@ def eigendecompose(kernel: FrequencyKernel) -> tuple[np.ndarray, np.ndarray]:
 def _clip(kernel: FrequencyKernel, floor: float) -> FrequencyKernel:
     w, v = eigendecompose(kernel)
     m = (v * np.maximum(w, floor)) @ v.conj().T
-    return FrequencyKernel(kernel.omega, hermitize(m))
+    return FrequencyKernel(hermitize(m))
 
 
 def clip_to_psd(kernel: FrequencyKernel) -> FrequencyKernel:

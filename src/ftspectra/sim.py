@@ -23,6 +23,7 @@ from .core import (
     FunctionalSeries,
     Grid,
     center,  # not called here; perfbench wraps sim.center in its traced runs
+    check_frequencies,
     hermitize,
     hs_distance,
     write_csv,
@@ -32,7 +33,6 @@ from .core import (
 from .bandwidth import select_bandwidth
 from .estimator import DEFAULT_FREQUENCIES, estimate_smoothed
 from .kernels import (
-    UnsupportedKernelError,
     check_bandwidth,
     epanechnikov,
     flat_top_parzen,
@@ -57,6 +57,10 @@ __all__ = [
 
 DEFAULT_KERNELS = (epanechnikov(), trapezoid(), flat_top_parzen(),
                    infinitely_differentiable())
+
+#: Sine basis functions and innovation coordinates of every FMA(1) model.
+N_BASIS = 50
+N_INNOV = 100
 
 
 def basis_matrix(grid: Grid, n_basis: int) -> np.ndarray:
@@ -124,20 +128,19 @@ class TrueSpectrum:
         object.__setattr__(self, "kernels", tuple(self.kernels))
 
 
-def _draw_operators(rng: np.random.Generator, n_basis: int, n_innov: int):
+def _draw_operators(rng: np.random.Generator):
     # row j entries ~ N(0, j^{-2})
-    scale = 1.0 / np.arange(1, n_basis + 1)[:, None]
-    a0 = rng.standard_normal((n_basis, n_innov)) * scale
-    a1 = rng.standard_normal((n_basis, n_innov)) * scale
+    scale = 1.0 / np.arange(1, N_BASIS + 1)[:, None]
+    a0 = rng.standard_normal((N_BASIS, N_INNOV)) * scale
+    a1 = rng.standard_normal((N_BASIS, N_INNOV)) * scale
     return a0, a1
 
 
-def make_fma1_model(seed: int, d: int = 100, n_basis: int = 50,
-                    n_innov: int = 100) -> Fma1Model:
+def make_fma1_model(seed: int, d: int = 100) -> Fma1Model:
     """Draw random coefficient operators from the seed and assemble a model."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    a0, a1 = _draw_operators(rng, n_basis, n_innov)
-    return Fma1Model(a0, a1, innovation_variances(n_innov), Grid(d), seed=seed)
+    a0, a1 = _draw_operators(rng)
+    return Fma1Model(a0, a1, innovation_variances(N_INNOV), Grid(d), seed=seed)
 
 
 def generate_fma1(model: Fma1Model, T: int,
@@ -164,16 +167,15 @@ def generate_fma1(model: Fma1Model, T: int,
 def true_spectrum(model: Fma1Model, frequencies=None) -> TrueSpectrum:
     """Closed-form spectral density of the model on its grid:
     f_omega = (1/(2*pi)) * Psi (A0 + e^{-i w} A1) diag(eta) (...)^H Psi^T."""
-    if frequencies is None:
-        frequencies = DEFAULT_FREQUENCIES
-    frequencies = np.asarray(frequencies, dtype=float)
+    frequencies = check_frequencies(
+        DEFAULT_FREQUENCIES if frequencies is None else frequencies)
     psi = basis_matrix(model.grid, model.n_basis)
     kernels = []
     for w in frequencies:
         aw = model.a0 + np.exp(-1j * w) * model.a1
         f_coef = (aw * model.eta) @ aw.conj().T / TWO_PI
         m = psi @ f_coef @ psi.T
-        kernels.append(FrequencyKernel(w % TWO_PI, hermitize(m)))
+        kernels.append(FrequencyKernel(hermitize(m)))
     return TrueSpectrum(frequencies, tuple(kernels))
 
 
@@ -183,14 +185,19 @@ def true_spectrum(model: Fma1Model, frequencies=None) -> TrueSpectrum:
 
 def imse_frequency_weights(frequencies) -> np.ndarray:
     """Trapezoidal weights for 2 * int_0^pi ... d omega on the grid
-    pi * j / n, j = 0..n-1 (ImseConfig checks the grid): one grid spacing per
-    point, halved at omega = 0, doubled for the full circle, which the
-    Hermitian symmetry f(-omega) = conj(f(omega)) makes twice the half
-    circle. On the default grid this is (pi/10) per point."""
-    frequencies = np.asarray(frequencies, dtype=float)
-    h = float(frequencies[1] - frequencies[0]) if frequencies.size > 1 else np.pi
-    w = np.full(frequencies.size, h)
-    w[frequencies == 0.0] *= 0.5
+    pi * j / n, j = 0..n-1, which covers [0, pi); DomainError on any other
+    grid (relative tolerance 1e-9). One grid spacing per point, halved at
+    omega = 0, doubled for the full circle, which the Hermitian symmetry
+    f(-omega) = conj(f(omega)) makes twice the half circle. On the default
+    grid this is (pi/10) per point."""
+    f = np.asarray(frequencies, dtype=float)
+    if not (f.ndim == 1 and f.size and np.allclose(
+            f, np.pi * np.arange(f.size) / f.size, rtol=1e-9, atol=0.0)):
+        raise DomainError("IMSE frequencies must be the grid pi * j / n, "
+                          f"j = 0..n-1, which covers [0, pi), got {f.tolist()}")
+    h = float(f[1] - f[0]) if f.size > 1 else np.pi
+    w = np.full(f.size, h)
+    w[0] *= 0.5  # the grid starts at omega = 0
     return 2.0 * w
 
 
@@ -211,34 +218,25 @@ def imse_from_estimate(estimate, truth: TrueSpectrum) -> float:
 
 @dataclass(frozen=True)
 class ImseConfig:
-    """Benchmark configuration; the defaults are the desk-scale run."""
+    """Benchmark configuration; the defaults are the desk-scale run. Every
+    replication scores the estimates on the paper grid DEFAULT_FREQUENCIES."""
 
     T_list: tuple = (64, 128, 256, 512, 1024)
     n_runs: int = 50
     kernel_specs: tuple = DEFAULT_KERNELS
-    bandwidth_mode: object = "rate"     # "rate", "2rate", "auto", or a float
+    bandwidth_mode: object = "rate"     # see parse_bandwidth_mode
     seed: int = 0
     d: int = 50
-    n_basis: int = 50
-    n_innov: int = 100
     redraw_operators: bool = True
     n_jobs: int = 1
-    frequencies: tuple = tuple(DEFAULT_FREQUENCIES)
 
     def __post_init__(self):
         if self.n_runs < 2:
             raise DomainError(f"need at least two runs, got {self.n_runs}")
         if self.n_jobs < 1:
             raise DomainError(f"n_jobs must be at least 1, got {self.n_jobs}")
-        if isinstance(self.bandwidth_mode, (int, float)):
-            check_bandwidth(self.bandwidth_mode)
-        elif self.bandwidth_mode not in ("rate", "2rate", "auto"):
-            raise DomainError(f"bad bandwidth mode {self.bandwidth_mode!r}")
-        f = np.asarray(self.frequencies, dtype=float)
-        if not (f.ndim == 1 and f.size and np.allclose(
-                f, np.pi * np.arange(f.size) / f.size, rtol=1e-9, atol=0.0)):
-            raise DomainError("IMSE frequencies must be the grid pi * j / n, "
-                              f"j = 0..n-1, which covers [0, pi), got {f.tolist()}")
+        object.__setattr__(self, "bandwidth_mode",
+                           parse_bandwidth_mode(self.bandwidth_mode))
 
 
 @dataclass(frozen=True)
@@ -252,78 +250,80 @@ class ImseRow:
     stderr: float
 
 
-def resolve_bandwidth(mode, T: int, series=None, spec=None) -> float:
-    """Map a bandwidth mode to a value: the T^(-1/5) rate, twice the rate, the
-    empirical rule (flat-top specs only), or an explicit number."""
+def parse_bandwidth_mode(mode):
+    """A bandwidth mode: 'auto', 'rate' or '2rate' as given, or an explicit
+    bandwidth in (0, 1], given as a number or as text, as a float.
+    DomainError on anything else."""
+    if mode in ("auto", "rate", "2rate"):
+        return mode
+    try:
+        value = float(mode)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            f"bandwidth must be 'auto', 'rate', '2rate' or a number, got {mode!r}"
+        ) from exc
+    return check_bandwidth(value)
+
+
+def resolve_bandwidth(mode, series: FunctionalSeries, spec) -> float:
+    """Map a parsed bandwidth mode to a value for a series of T curves: the
+    T^(-1/5) rate, twice the rate, the empirical rule (which refuses a spec
+    that is not flat-top), or the explicit number."""
+    T = series.n_curves
     if mode == "rate":
         return T ** (-0.2)
     if mode == "2rate":
         return check_bandwidth(2.0 * T ** (-0.2))
     if mode == "auto":
-        if spec is None or not spec.is_flat_top:
-            raise UnsupportedKernelError(
-                "automatic bandwidth needs a flat-top kernel (no effective "
-                "flat-top radius exists for the baseline)")
         return select_bandwidth(series, spec).B_T
     return float(mode)
 
 
-def _run_replication(config: ImseConfig, task, estimator_override=None) -> dict:
+def _run_replication(config: ImseConfig, task) -> dict:
     """One (T, replication) cell: simulate from the task's generator stream,
-    estimate with every kernel spec of the config (the smoothed estimator
-    unless an override is given), and return the per-kernel IMSE against the
-    replication's own truth."""
+    estimate with every kernel spec of the config, and return the per-kernel
+    IMSE against the replication's own truth."""
     T, seed_ss, operators = task
     rng = np.random.default_rng(seed_ss)
-    if operators is None:
-        a0, a1 = _draw_operators(rng, config.n_basis, config.n_innov)
-    else:
-        a0, a1 = operators
-    model = Fma1Model(a0, a1, innovation_variances(config.n_innov), Grid(config.d))
+    a0, a1 = _draw_operators(rng) if operators is None else operators
+    model = Fma1Model(a0, a1, innovation_variances(N_INNOV), Grid(config.d))
     series = generate_fma1(model, T, rng=rng)
-    truth = true_spectrum(model, config.frequencies)
+    truth = true_spectrum(model)
     out = {}
     for spec in config.kernel_specs:
-        bandwidth = resolve_bandwidth(config.bandwidth_mode, T, series=series, spec=spec)
-        if estimator_override is None:
-            est = estimate_smoothed(series, spec, bandwidth, config.frequencies)
-        else:
-            est = estimator_override(series, spec, bandwidth, config.frequencies, truth)
+        bandwidth = resolve_bandwidth(config.bandwidth_mode, series, spec)
+        est = estimate_smoothed(series, spec, bandwidth)
         out[spec.identifier] = imse_from_estimate(est, truth)
     return out
 
 
-def imse_experiment(config: ImseConfig, estimator_override=None) -> list:
+def imse_experiment(config: ImseConfig) -> list:
     """Run the Monte-Carlo IMSE benchmark and return one :class:`ImseRow` per
     (kernel, T) cell.
 
     Replications map over per-task generator streams split from the master
     seed, so serial and parallel executions produce identical numbers and the
     whole table is reproducible bitwise from the config.
-
-    ``estimator_override(series, spec, bandwidth, frequencies, truth)`` is a
-    test hook replacing the estimator; it forces the serial path.
     """
     ss = np.random.SeedSequence(config.seed)
     n_tasks = len(config.T_list) * config.n_runs
     children = ss.spawn(n_tasks + 1)
     operators = None
     if not config.redraw_operators:
-        rng_op = np.random.default_rng(children[n_tasks])
-        operators = _draw_operators(rng_op, config.n_basis, config.n_innov)
+        operators = _draw_operators(np.random.default_rng(children[n_tasks]))
     tasks = [(int(T), children[ti * config.n_runs + r], operators)
              for ti, T in enumerate(config.T_list) for r in range(config.n_runs)]
 
     run = functools.partial(_run_replication, config)
-    if estimator_override is None and config.n_jobs > 1:
+    if config.n_jobs > 1:
         with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
             results = list(pool.map(run, tasks, chunksize=4))
     else:
-        results = [run(t, estimator_override) for t in tasks]
+        results = [run(t) for t in tasks]
 
     rows = []
     mode_label = (config.bandwidth_mode if isinstance(config.bandwidth_mode, str)
-                  else repr(float(config.bandwidth_mode)))
+                  else repr(config.bandwidth_mode))
     for ti, T in enumerate(config.T_list):
         cell = results[ti * config.n_runs:(ti + 1) * config.n_runs]
         for spec in config.kernel_specs:

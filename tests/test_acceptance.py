@@ -143,8 +143,8 @@ def test_criterion_5_psd_projection_contraction():
     violations = 0
     worst = -np.inf
     for _ in range(1000):
-        fhat = FrequencyKernel(0.0, random_hermitian(rng, 20))
-        target = FrequencyKernel(0.0, random_psd(rng, 20))
+        fhat = FrequencyKernel(random_hermitian(rng, 20))
+        target = FrequencyKernel(random_psd(rng, 20))
         gap = hs_distance(clip_to_psd(fhat), target) - hs_distance(fhat, target)
         worst = max(worst, gap)
         if gap > 1e-12:

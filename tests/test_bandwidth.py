@@ -12,13 +12,16 @@ from ftspectra import (
     DomainError,
     FunctionalSeries,
     Grid,
+    UnsupportedKernelError,
     center,
     correlogram,
+    epanechnikov,
     generate_fma1,
     make_fma1_model,
     select_bandwidth,
     trapezoid,
 )
+from ftspectra import bandwidth
 from ftspectra.bandwidth import (
     _bandwidth_from_q,
     gamma_grid_indices,
@@ -186,6 +189,14 @@ class TestSelectBandwidth:
         s = FunctionalSeries(Grid(10), np.random.default_rng(0).standard_normal((4, 10)))
         with pytest.raises(DomainError):
             select_bandwidth(s, trapezoid())
+
+    def test_baseline_refused_before_the_search(self, fma_series, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the shift search ran for the baseline")
+
+        monkeypatch.setattr(bandwidth, "_autocovariance_stack", no_search)
+        with pytest.raises(UnsupportedKernelError):
+            select_bandwidth(fma_series, epanechnikov())
 
     def test_rejects_bad_options(self, fma_series):
         with pytest.raises(DomainError):

@@ -225,6 +225,21 @@ class TestExitCodes:
         assert json.loads(res.stderr)["error"]["type"] == "DomainError"
 
     @pytest.mark.parametrize("args", [
+        ["estimate", "--kernel", "EPA", "--bandwidth", "auto", "--input", "{data}",
+         "--out", "{tmp}/x"],
+        ["bench", "--kernels", "EPA", "--bandwidth", "auto", "--T-list", "16",
+         "--replications", "2", "--d", "8", "--out-dir", "{tmp}/b"],
+    ], ids=["estimate", "bench"])
+    def test_auto_bandwidth_for_baseline_is_config_error(self, tmp_path, data_csv, args):
+        res = run_cli(*(a.format(tmp=tmp_path, data=data_csv) for a in args))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        error = json.loads(res.stderr)["error"]
+        assert (error["code"], error["type"]) == (1, "UnsupportedKernelError")
+        assert "Epanechnikov" in error["message"]
+
+    @pytest.mark.parametrize("args", [
         ["estimate", "--input", "{tmp}/in.csv", "--psd", "bogus", "--out", "{tmp}/x"],
         ["estimate", "--input", "{tmp}/in.csv"],
         ["simulate", "--T", "abc", "--out", "{tmp}/x.csv"],

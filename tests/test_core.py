@@ -99,14 +99,14 @@ class TestCenter:
 
 class TestHsNorm:
     def test_zero_matrix(self):
-        assert hs_norm(FrequencyKernel(0.0, np.zeros((5, 5)))) == 0.0
+        assert hs_norm(FrequencyKernel(np.zeros((5, 5)))) == 0.0
 
     @pytest.mark.parametrize("d", [2, 5, 37])
     def test_all_ones_is_one(self, d):
-        assert hs_norm(FrequencyKernel(0.0, np.ones((d, d)))) == pytest.approx(1.0)
+        assert hs_norm(FrequencyKernel(np.ones((d, d)))) == pytest.approx(1.0)
 
     def test_identity_d10(self):
-        k = FrequencyKernel(0.0, np.eye(10))
+        k = FrequencyKernel(np.eye(10))
         assert hs_norm(k) == pytest.approx(np.sqrt(0.1), abs=1e-12)
 
     @given(scale=st.one_of(st.just(0.0), st.floats(1e-6, 100.0),
@@ -115,40 +115,40 @@ class TestHsNorm:
     def test_scaling_linear(self, scale):
         rng = np.random.default_rng(5)
         m = random_hermitian(rng, 6)
-        base = hs_norm(FrequencyKernel(1.0, m))
-        scaled = hs_norm(FrequencyKernel(1.0, scale * m))
+        base = hs_norm(FrequencyKernel(m))
+        scaled = hs_norm(FrequencyKernel(scale * m))
         assert scaled == pytest.approx(abs(scale) * base, rel=1e-12, abs=1e-300)
 
 
 class TestHsDistance:
     def test_identical_kernels(self, rng):
-        k = FrequencyKernel(0.5, random_hermitian(rng, 4))
+        k = FrequencyKernel(random_hermitian(rng, 4))
         assert hs_distance(k, k) == 0.0
 
     def test_distance_to_zero_is_norm(self, rng):
-        b = FrequencyKernel(0.5, random_hermitian(rng, 4))
-        zero = FrequencyKernel(0.5, np.zeros((4, 4)))
+        b = FrequencyKernel(random_hermitian(rng, 4))
+        zero = FrequencyKernel(np.zeros((4, 4)))
         assert hs_distance(zero, b) == hs_norm(b)
 
     def test_matches_norm_of_difference(self, rng):
-        a = FrequencyKernel(0.5, random_hermitian(rng, 8))
-        b = FrequencyKernel(0.5, random_hermitian(rng, 8))
+        a = FrequencyKernel(random_hermitian(rng, 8))
+        b = FrequencyKernel(random_hermitian(rng, 8))
         direct = np.sqrt(np.sum(np.abs(a.matrix - b.matrix) ** 2)) / 8
         assert hs_distance(a, b) == pytest.approx(direct, rel=1e-14)
 
     def test_symmetric_exactly(self, rng):
-        a = FrequencyKernel(0.5, random_hermitian(rng, 6))
-        b = FrequencyKernel(0.5, random_hermitian(rng, 6))
+        a = FrequencyKernel(random_hermitian(rng, 6))
+        b = FrequencyKernel(random_hermitian(rng, 6))
         assert hs_distance(a, b) == hs_distance(b, a)
 
     def test_triangle_inequality(self, rng):
         for _ in range(50):
-            a, b, c = (FrequencyKernel(0.1, random_hermitian(rng, 5)) for _ in range(3))
+            a, b, c = (FrequencyKernel(random_hermitian(rng, 5)) for _ in range(3))
             assert hs_distance(a, c) <= hs_distance(a, b) + hs_distance(b, c) + 1e-12
 
     def test_dimension_mismatch(self, rng):
-        a = FrequencyKernel(0.0, random_hermitian(rng, 4))
-        b = FrequencyKernel(0.0, random_hermitian(rng, 5))
+        a = FrequencyKernel(random_hermitian(rng, 4))
+        b = FrequencyKernel(random_hermitian(rng, 5))
         with pytest.raises(DimensionError):
             hs_distance(a, b)
 
@@ -157,25 +157,29 @@ class TestFrequencyKernel:
     def test_rejects_non_hermitian(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(DomainError):
-            FrequencyKernel(0.0, m)
-
-    def test_rejects_omega_outside_range(self):
-        with pytest.raises(DomainError):
-            FrequencyKernel(2 * np.pi, np.eye(2))
-        with pytest.raises(DomainError):
-            FrequencyKernel(-0.1, np.eye(2))
+            FrequencyKernel(m)
 
     def test_accepts_tiny_asymmetry(self, rng):
         m = np.array(random_hermitian(rng, 4))
         m[0, 1] += 1e-14 * np.max(np.abs(m))
-        FrequencyKernel(0.0, m)  # within the 1e-10 relative tolerance
+        FrequencyKernel(m)  # within the 1e-10 relative tolerance
 
 
 class TestSpectralEstimate:
     def test_rejects_unsorted_frequencies(self, rng):
-        ks = tuple(FrequencyKernel(w, np.eye(2)) for w in (0.2, 0.1))
+        ks = tuple(FrequencyKernel(np.eye(2)) for _ in (0.2, 0.1))
         with pytest.raises(DomainError):
             SpectralEstimate(np.array([0.2, 0.1]), ks, 0.5, "TR", "lag-window")
+
+    @pytest.mark.parametrize("frequencies", [[np.nan], [0.1, np.nan], [2 * np.pi],
+                                             [0.1, 7.0], [-0.1], [0.1, np.inf]],
+                             ids=["nan", "nan-last", "two-pi", "beyond-two-pi",
+                                  "negative", "infinite"])
+    def test_rejects_frequencies_outside_range(self, frequencies):
+        # the estimate alone holds the frequencies: its kernels carry none
+        ks = tuple(FrequencyKernel(np.eye(2)) for _ in frequencies)
+        with pytest.raises(DomainError):
+            SpectralEstimate(np.array(frequencies), ks, 0.5, "TR", "lag-window")
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -213,7 +217,7 @@ class TestSerialization:
 
     def test_estimate_json_roundtrip(self, rng):
         freqs = np.array([0.0, 0.5, 1.0])
-        kernels = tuple(FrequencyKernel(w, random_hermitian(rng, 3)) for w in freqs)
+        kernels = tuple(FrequencyKernel(random_hermitian(rng, 3)) for _ in freqs)
         est = SpectralEstimate(freqs, kernels, 0.25, "TR(c=0.5)", "lag-window")
         obj = json.loads(json.dumps(estimate_to_json_dict(est)))
         back = estimate_from_json_dict(obj)
@@ -224,9 +228,18 @@ class TestSerialization:
         assert back.method == "lag-window"
         assert set(obj["kernels"][0]) == {"re", "im"}
 
+    @pytest.mark.parametrize("n_kernels", [1, 3], ids=["too-few", "too-many"])
+    def test_estimate_json_kernel_count_must_match(self, rng, n_kernels):
+        obj = {"frequencies": [0.0, 0.5], "bandwidth": 0.25, "kernel_id": "TR(c=0.5)",
+               "method": "lag-window",
+               "kernels": [core.matrix_to_json_dict(random_hermitian(rng, 3))
+                           for _ in range(n_kernels)]}
+        with pytest.raises(DimensionError, match=f"{n_kernels} kernels for 2 frequencies"):
+            estimate_from_json_dict(obj)
+
     def test_estimate_csv_dir_roundtrip(self, rng, tmp_path):
         freqs = np.array([0.1, 0.9])
-        kernels = tuple(FrequencyKernel(w, random_hermitian(rng, 4)) for w in freqs)
+        kernels = tuple(FrequencyKernel(random_hermitian(rng, 4)) for _ in freqs)
         est = SpectralEstimate(freqs, kernels, 0.5, "PR(c=0.75)", "smoothed-periodogram")
         estimate_to_csv_dir(est, tmp_path / "est")
         back = estimate_from_csv_dir(tmp_path / "est")
@@ -234,7 +247,7 @@ class TestSerialization:
             assert np.array_equal(k1.matrix, k2.matrix)
 
     def test_estimate_csv_dir_missing_part_is_parse_error(self, rng, tmp_path):
-        est = SpectralEstimate(np.array([0.1]), (FrequencyKernel(0.1, random_hermitian(rng, 3)),),
+        est = SpectralEstimate(np.array([0.1]), (FrequencyKernel(random_hermitian(rng, 3)),),
                                0.5, "TR(c=0.5)", "lag-window")
         estimate_to_csv_dir(est, tmp_path / "est")
         (tmp_path / "est" / "freq_0000_im.csv").unlink()

@@ -22,6 +22,7 @@ from ftspectra import (
     trapezoid,
     weight_function,
 )
+from ftspectra import estimator
 from ftspectra.estimator import DEFAULT_FREQUENCIES
 
 FLAT_TOPS = [trapezoid(), flat_top_parzen(), infinitely_differentiable()]
@@ -272,3 +273,20 @@ class TestLagWindowEstimator:
         assert est.method == "lag-window"
         assert est.kernel_id == "PR(c=0.75)"
         assert np.array_equal(est.frequencies, DEFAULT_FREQUENCIES)
+
+
+@pytest.mark.parametrize("estimate, spec", [(estimate_smoothed, trapezoid()),
+                                            (estimate_smoothed, epanechnikov()),
+                                            (estimate_lagwindow, trapezoid())],
+                         ids=["smoothed-TR", "smoothed-EPA", "lagwindow-TR"])
+@pytest.mark.parametrize("frequencies", [[7.0], [np.nan], [0.5, 0.2]],
+                         ids=["beyond-two-pi", "nan", "unsorted"])
+def test_frequencies_checked_before_any_work(fma_series, monkeypatch, estimate, spec,
+                                             frequencies):
+    def no_work(*args):
+        raise AssertionError("the estimator ran before checking its frequencies")
+
+    monkeypatch.setattr(estimator, "_autocovariance_stack", no_work)
+    monkeypatch.setattr(estimator, "fdft_all", no_work)
+    with pytest.raises(DomainError):
+        estimate(fma_series, spec, 0.5, frequencies)

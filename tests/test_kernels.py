@@ -68,7 +68,16 @@ class TestSpecValidation:
         assert flat_top_parzen().c == 0.75
         id_spec = infinitely_differentiable()
         assert (id_spec.b, id_spec.c) == (0.25, 0.05)
+        assert infinitely_differentiable(c=0.1).b == 0.25
         assert epanechnikov().c is None
+
+    @pytest.mark.parametrize("make, name", [(trapezoid, "TR"), (flat_top_parzen, "PR"),
+                                            (infinitely_differentiable, "ID"),
+                                            (epanechnikov, "EPA")],
+                             ids=["TR", "PR", "ID", "EPA"])
+    def test_constructor_defaults_equal_parsed_name(self, make, name):
+        # the default parameters live in FlatTopSpec alone
+        assert make() == parse_kernel(name)
 
     @pytest.mark.parametrize("c", [0.0, 1.0, -0.5, 1.5])
     def test_trapezoid_c_range(self, c):

@@ -40,7 +40,7 @@ def charpoly_eigenvalues(m):
 
 class TestEigendecompose:
     def test_diagonal_matrix(self):
-        k = FrequencyKernel(0.0, np.diag([3.0, -1.0, 2.0]))
+        k = FrequencyKernel(np.diag([3.0, -1.0, 2.0]))
         w, v = eigendecompose(k)
         assert np.allclose(w, [3.0, 2.0, -1.0])
         # eigenvectors are signed standard basis vectors
@@ -48,25 +48,25 @@ class TestEigendecompose:
 
     def test_rank_one_outer_product(self, rng):
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        k = FrequencyKernel(0.0, np.outer(v, v.conj()))
+        k = FrequencyKernel(np.outer(v, v.conj()))
         w, _ = eigendecompose(k)
         assert w[0] == pytest.approx(np.sum(np.abs(v) ** 2), rel=1e-12)
         assert np.max(np.abs(w[1:])) < 1e-8 * np.linalg.norm(k.matrix)
 
     def test_reconstruction_and_orthonormality(self, rng):
-        k = FrequencyKernel(0.0, random_hermitian(rng, 12))
+        k = FrequencyKernel(random_hermitian(rng, 12))
         w, v = eigendecompose(k)
         recon = (v * w) @ v.conj().T
         assert np.linalg.norm(recon - k.matrix) < 1e-8 * np.linalg.norm(k.matrix)
         assert np.max(np.abs(v.conj().T @ v - np.eye(12))) < 1e-10
 
     def test_descending_order(self, rng):
-        w, _ = eigendecompose(FrequencyKernel(0.0, random_hermitian(rng, 9)))
+        w, _ = eigendecompose(FrequencyKernel(random_hermitian(rng, 9)))
         assert np.all(np.diff(w) <= 0)
 
     def test_against_general_solver(self, rng):
         m = random_hermitian(rng, 10)
-        w, _ = eigendecompose(FrequencyKernel(0.0, m))
+        w, _ = eigendecompose(FrequencyKernel(m))
         general = np.sort(np.linalg.eigvals(m).real)[::-1]
         assert np.max(np.abs(w - general)) < 1e-8
 
@@ -74,31 +74,31 @@ class TestEigendecompose:
         # scaled down so the Newton-identity traces stay well conditioned
         m = random_hermitian(rng, 6)
         m = m / (2 * np.linalg.norm(m, 2))
-        w, _ = eigendecompose(FrequencyKernel(0.0, m))
+        w, _ = eigendecompose(FrequencyKernel(m))
         ref = charpoly_eigenvalues(np.asarray(m, dtype=complex))
         assert np.max(np.abs(w - ref)) < 1e-8
 
 
 class TestClipToPsd:
     def test_diagonal_example(self):
-        k = FrequencyKernel(0.0, np.diag([1.0, -0.5]))
+        k = FrequencyKernel(np.diag([1.0, -0.5]))
         out = clip_to_psd(k)
         assert np.allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_fixed_point_on_psd_input(self, rng):
-        k = FrequencyKernel(0.0, random_psd(rng, 8))
+        k = FrequencyKernel(random_psd(rng, 8))
         out = clip_to_psd(k)
         assert np.max(np.abs(out.matrix - k.matrix)) < 1e-10 * np.max(np.abs(k.matrix))
 
     def test_idempotent(self, rng):
-        k = FrequencyKernel(0.0, random_hermitian(rng, 10))
+        k = FrequencyKernel(random_hermitian(rng, 10))
         once = clip_to_psd(k)
         twice = clip_to_psd(once)
         assert np.max(np.abs(twice.matrix - once.matrix)) <= 1e-10 * np.max(np.abs(once.matrix))
 
     def test_result_is_psd(self, rng):
         for _ in range(20):
-            k = FrequencyKernel(0.0, random_hermitian(rng, 7))
+            k = FrequencyKernel(random_hermitian(rng, 7))
             out = clip_to_psd(k)
             assert min_eigenvalue(out) >= -1e-10 * np.linalg.norm(k.matrix)
 
@@ -106,13 +106,13 @@ class TestClipToPsd:
         # Frobenius projection onto a convex cone never moves away from any
         # point of the cone
         for _ in range(200):
-            fhat = FrequencyKernel(0.0, random_hermitian(rng, 8))
-            target = FrequencyKernel(0.0, random_psd(rng, 8))
+            fhat = FrequencyKernel(random_hermitian(rng, 8))
+            target = FrequencyKernel(random_psd(rng, 8))
             clipped = clip_to_psd(fhat)
             assert hs_distance(clipped, target) <= hs_distance(fhat, target) + 1e-12
 
     def test_two_runs_identical(self, rng):
-        k = FrequencyKernel(0.0, random_hermitian(rng, 11))
+        k = FrequencyKernel(random_hermitian(rng, 11))
         a, b = clip_to_psd(k), clip_to_psd(k)
         assert np.array_equal(a.matrix, b.matrix)
 
@@ -120,44 +120,44 @@ class TestClipToPsd:
     @settings(deadline=None, max_examples=25)
     def test_contraction_property(self, d):
         rng = np.random.default_rng(d)
-        fhat = FrequencyKernel(0.0, random_hermitian(rng, d))
-        target = FrequencyKernel(0.0, random_psd(rng, d))
+        fhat = FrequencyKernel(random_hermitian(rng, d))
+        target = FrequencyKernel(random_psd(rng, d))
         assert hs_distance(clip_to_psd(fhat), target) <= hs_distance(fhat, target) + 1e-12
 
 
 class TestClipToPd:
     def test_diagonal_example(self):
-        k = FrequencyKernel(0.0, np.diag([1.0, -0.5]))
+        k = FrequencyKernel(np.diag([1.0, -0.5]))
         out = clip_to_pd(k, 0.01)
         assert np.allclose(out.matrix, np.diag([1.0, 0.01]), atol=1e-14)
 
     def test_no_change_when_eigenvalues_large(self, rng):
         m = random_psd(rng, 6) + 2.0 * np.eye(6)
-        k = FrequencyKernel(0.0, m)
+        k = FrequencyKernel(m)
         out = clip_to_pd(k, 1e-3)
         assert np.max(np.abs(out.matrix - m)) < 1e-10 * np.max(np.abs(m))
 
     def test_rate_floor_value(self):
         T = 1000
-        k = FrequencyKernel(0.0, np.diag([1.0, -0.2]))
+        k = FrequencyKernel(np.diag([1.0, -0.2]))
         out = clip_to_pd(k, 1.0 / T)
         assert min_eigenvalue(out) == pytest.approx(0.001, rel=1e-10)
 
     def test_min_eigenvalue_floor(self, rng):
-        k = FrequencyKernel(0.0, random_hermitian(rng, 9))
+        k = FrequencyKernel(random_hermitian(rng, 9))
         out = clip_to_pd(k, 0.05)
         assert min_eigenvalue(out) >= 0.05 - 1e-12
 
     def test_distance_to_psd_clip_bounded(self, rng):
         eps = 0.01
-        k = FrequencyKernel(0.0, random_hermitian(rng, 10))
+        k = FrequencyKernel(random_hermitian(rng, 10))
         psd = clip_to_psd(k)
         pd = clip_to_pd(k, eps)
         # at most eps per clipped eigenvalue: (1/d) * sqrt(d * eps^2)
         assert hs_distance(pd, psd) <= eps / np.sqrt(10) + 1e-12
 
     def test_rejects_nonpositive_floor(self, rng):
-        k = FrequencyKernel(0.0, random_hermitian(rng, 3))
+        k = FrequencyKernel(random_hermitian(rng, 3))
         for eps in (0.0, -1e-3, np.nan, np.inf):
             with pytest.raises(DomainError):
                 clip_to_pd(k, eps)

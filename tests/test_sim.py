@@ -7,8 +7,11 @@ from ftspectra import (
     DimensionError,
     DomainError,
     Fma1Model,
+    FrequencyKernel,
     Grid,
     ImseConfig,
+    SpectralEstimate,
+    TrueSpectrum,
     center,
     autocovariance,
     estimate_smoothed,
@@ -19,10 +22,12 @@ from ftspectra import (
     trapezoid,
     true_spectrum,
 )
+from ftspectra import sim
 from ftspectra.sim import (
     basis_matrix,
     imse_frequency_weights,
     innovation_variances,
+    parse_bandwidth_mode,
     resolve_bandwidth,
 )
 
@@ -34,6 +39,13 @@ def model():
 
 def zero_ma(model):
     return dataclasses.replace(model, a1=np.zeros_like(model.a1))
+
+
+def estimate_and_truth(frequencies):
+    """An estimate and a truth on the frequencies, with the same kernels."""
+    kernels = tuple(FrequencyKernel(np.eye(2)) for _ in frequencies)
+    return (SpectralEstimate(frequencies, kernels, 0.5, "TR(c=0.5)", "smoothed-periodogram"),
+            TrueSpectrum(frequencies, kernels))
 
 
 class TestModel:
@@ -173,15 +185,14 @@ class TestTrueSpectrum:
 
 
 class TestImseExperiment:
-    def test_truth_injection_gives_zero(self):
-        def oracle(series, spec, bandwidth, frequencies, truth):
-            from ftspectra import SpectralEstimate
-            return SpectralEstimate(np.asarray(frequencies), truth.kernels,
-                                    bandwidth, spec.identifier, "smoothed-periodogram")
-
+    def test_truth_injection_gives_zero(self, monkeypatch):
+        # an estimator that returns the truth scores exactly zero
+        estimate, truth = estimate_and_truth(np.pi * np.arange(10) / 10)
+        monkeypatch.setattr(sim, "true_spectrum", lambda model: truth)
+        monkeypatch.setattr(sim, "estimate_smoothed", lambda *args: estimate)
         cfg = ImseConfig(T_list=(64,), n_runs=2, d=10,
                          kernel_specs=(trapezoid(),), seed=5)
-        rows = imse_experiment(cfg, estimator_override=oracle)
+        rows = imse_experiment(cfg)
         assert rows[0].mean_imse == 0.0
 
     def test_deterministic_given_seed(self):
@@ -207,11 +218,26 @@ class TestImseExperiment:
             ImseConfig(bandwidth_mode=5.0)
         assert ImseConfig(bandwidth_mode=1.0).bandwidth_mode == 1.0
 
-    def test_out_of_range_parameters_rejected(self):
+    @pytest.mark.parametrize("mode, parsed", [("auto", "auto"), ("rate", "rate"),
+                                              ("2rate", "2rate"), ("0.5", 0.5),
+                                              (0.5, 0.5), (1, 1.0)])
+    def test_bandwidth_mode_parsed_once(self, mode, parsed):
+        # the CLI flags and ImseConfig share parse_bandwidth_mode
+        assert parse_bandwidth_mode(mode) == parsed
+        assert ImseConfig(bandwidth_mode=mode).bandwidth_mode == parsed
+
+    @pytest.mark.parametrize("mode", ["bogus", "RATE", "0", "1.5", "nan", None, 5.0])
+    def test_bad_bandwidth_mode_rejected(self, mode):
+        with pytest.raises(DomainError):
+            parse_bandwidth_mode(mode)
+        with pytest.raises(DomainError):
+            ImseConfig(bandwidth_mode=mode)
+
+    def test_out_of_range_parameters_rejected(self, model):
         with pytest.raises(DomainError):
             ImseConfig(n_jobs=0)
-        with pytest.raises(DomainError):
-            resolve_bandwidth("2rate", 16)  # 2 * 16^(-1/5) > 1
+        with pytest.raises(DomainError):  # 2 * 16^(-1/5) > 1
+            resolve_bandwidth("2rate", generate_fma1(model, 16), trapezoid())
 
     @pytest.mark.parametrize("frequencies", [(0.3, 0.4, 2.0), (0.3, 0.4, 0.5),
                                              (0.0, 0.5, 1.5), (0.0, 0.0), (),
@@ -223,11 +249,15 @@ class TestImseExperiment:
     def test_frequency_grid_checked_at_construction(self, frequencies):
         # imse_frequency_weights integrates over [0, n * h) for n points of
         # spacing h and doubles that half-circle integral, so the grid must
-        # be pi * j / n, j = 0..n-1
+        # be pi * j / n, j = 0..n-1; imse_from_estimate scores through it.
+        # An estimate refuses the repeated and infinite grids itself.
         with pytest.raises(DomainError):
-            ImseConfig(frequencies=frequencies)
+            imse_frequency_weights(frequencies)
+        with pytest.raises(DomainError):
+            imse_from_estimate(*estimate_and_truth(frequencies))
         for good in [(0.0,), (0.0, np.pi / 3, 2 * np.pi / 3)]:
-            assert ImseConfig(frequencies=good).frequencies == good
+            assert imse_frequency_weights(good).size == len(good)
+            assert imse_from_estimate(*estimate_and_truth(good)) == 0.0
 
     def test_frequency_weights(self):
         w = imse_frequency_weights(np.pi * np.arange(10) / 10)
