@@ -59,7 +59,6 @@ from .sim import (
     Fma1Model,
     ImseConfig,
     ImseRow,
-    TrueSpectrum,
     generate_fma1,
     imse_experiment,
     imse_from_estimate,

@@ -256,8 +256,8 @@ def cmd_bench(args) -> int:
 
 def _write_traces(out_dir, config: ImseConfig) -> None:
     """Plot-ready diagonal traces |fhat(tau, tau)| over a dense frequency grid
-    for one seeded replication at the largest benchmark T, plus the matching
-    exact spectrum."""
+    for one seeded replication at the largest benchmark T, one file per
+    kernel spec, plus the matching exact spectrum in trace_truth.csv."""
     from .bandwidth import gamma_grid_indices
 
     T = max(config.T_list)
@@ -271,10 +271,13 @@ def _write_traces(out_dir, config: ImseConfig) -> None:
         write_csv(path, [header] + [[w, *np.abs(np.diagonal(k.matrix))[idx]]
                                     for w, k in zip(freqs, kernels)])
 
+    seen = {}   # specs per family so far: the k-th, k >= 2, is trace_<family>_<k>
     for spec in config.kernel_specs:
         bandwidth = resolve_bandwidth(config.bandwidth_mode, series, spec)
         est = estimate_smoothed(series, spec, bandwidth, freqs)
-        name = spec.identifier.split("(")[0].lower()
+        family = spec.identifier.split("(")[0].lower()
+        seen[family] = k = seen.get(family, 0) + 1
+        name = family if k == 1 else f"{family}_{k}"
         write_trace(os.path.join(out_dir, f"trace_{name}.csv"), est.kernels)
     truth = true_spectrum(model, freqs)
     write_trace(os.path.join(out_dir, "trace_truth.csv"), truth.kernels)

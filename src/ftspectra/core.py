@@ -328,12 +328,19 @@ def series_to_json_dict(series: FunctionalSeries) -> dict:
 
 
 def series_from_json_dict(obj: dict) -> FunctionalSeries:
-    """Read {"d", "T", "values"}; T is optional and other keys, such as the
-    "centered" flag of older files, are ignored."""
+    """Read {"d", "T", "values"}; d and T must be JSON integers (not bools),
+    T is optional and other keys, such as the "centered" flag of older
+    files, are ignored."""
+    def integer(key):
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{key} must be an integer, got {value!r}")
+        return value
+
     try:
-        d = int(obj["d"])
+        d = integer("d")
         values = np.asarray(obj["values"], dtype=float)
-        T = int(obj["T"]) if "T" in obj else None
+        T = integer("T") if "T" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad series JSON: {exc}") from exc
     if T is not None and values.shape[:1] != (T,):

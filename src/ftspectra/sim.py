@@ -22,6 +22,7 @@ from .core import (
     FrequencyKernel,
     FunctionalSeries,
     Grid,
+    SpectralEstimate,
     center,  # not called here; perfbench wraps sim.center in its traced runs
     check_frequencies,
     hermitize,
@@ -42,7 +43,6 @@ from .kernels import (
 
 __all__ = [
     "Fma1Model",
-    "TrueSpectrum",
     "basis_matrix",
     "make_fma1_model",
     "generate_fma1",
@@ -114,20 +114,6 @@ class Fma1Model:
         return self.a0.shape[1]
 
 
-@dataclass(frozen=True)
-class TrueSpectrum:
-    """Exact spectral density kernels of a model on its grid, one Hermitian
-    PSD matrix per frequency."""
-
-    frequencies: np.ndarray
-    kernels: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "frequencies",
-                           _readonly(np.asarray(self.frequencies, dtype=float)))
-        object.__setattr__(self, "kernels", tuple(self.kernels))
-
-
 def _draw_operators(rng: np.random.Generator):
     # row j entries ~ N(0, j^{-2})
     scale = 1.0 / np.arange(1, N_BASIS + 1)[:, None]
@@ -164,9 +150,12 @@ def generate_fma1(model: Fma1Model, T: int,
     return FunctionalSeries(model.grid, coef @ psi.T)
 
 
-def true_spectrum(model: Fma1Model, frequencies=None) -> TrueSpectrum:
+def true_spectrum(model: Fma1Model, frequencies=None) -> SpectralEstimate:
     """Closed-form spectral density of the model on its grid:
-    f_omega = (1/(2*pi)) * Psi (A0 + e^{-i w} A1) diag(eta) (...)^H Psi^T."""
+    f_omega = (1/(2*pi)) * Psi (A0 + e^{-i w} A1) diag(eta) (...)^H Psi^T,
+    as a SpectralEstimate with bandwidth 0.0 (no smoothing), kernel_id
+    "truth" and method "closed-form", so it carries the checks of every
+    estimate."""
     frequencies = check_frequencies(
         DEFAULT_FREQUENCIES if frequencies is None else frequencies)
     psi = basis_matrix(model.grid, model.n_basis)
@@ -176,7 +165,7 @@ def true_spectrum(model: Fma1Model, frequencies=None) -> TrueSpectrum:
         f_coef = (aw * model.eta) @ aw.conj().T / TWO_PI
         m = psi @ f_coef @ psi.T
         kernels.append(FrequencyKernel(hermitize(m)))
-    return TrueSpectrum(frequencies, tuple(kernels))
+    return SpectralEstimate(frequencies, kernels, 0.0, "truth", "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +190,7 @@ def imse_frequency_weights(frequencies) -> np.ndarray:
     return 2.0 * w
 
 
-def imse_from_estimate(estimate, truth: TrueSpectrum) -> float:
+def imse_from_estimate(estimate, truth: SpectralEstimate) -> float:
     """Weighted squared Hilbert-Schmidt distance between an estimate and the
     truth over the frequency grid; DimensionError unless both are on the
     same frequencies."""

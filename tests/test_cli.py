@@ -258,8 +258,10 @@ class TestExitCodes:
         ("one.json", '{"d": 2, "values": [[1.0, 2.0]]}'),
         ("d.json", '{"d": 3, "values": [[1.0, 2.0], [3.0, 4.0]]}'),
         ("t.json", '{"d": 2, "T": "abc", "values": [[1.0, 2.0], [3.0, 4.0]]}'),
+        ("f.json", '{"d": 2.7, "values": [[1.0, 2.0], [3.0, 4.0]]}'),
         ("wide.csv", "tau_0,tau_1\n1.0," + "9" * 140000 + "\n2.0,3.0\n"),
-    ], ids=["one-row-json", "d-mismatch-json", "T-not-int-json", "huge-field-csv"])
+    ], ids=["one-row-json", "d-mismatch-json", "T-not-int-json", "d-float-json",
+            "huge-field-csv"])
     def test_unformable_series_is_parse_error(self, tmp_path, name, content):
         (tmp_path / name).write_text(content)
         res = run_cli("estimate", "--input", str(tmp_path / name),
@@ -403,3 +405,13 @@ class TestBench:
             assert [r["kernel"] for r in json.load(fh)] == ["TR(c=0.4)", "PR(c=0.75)"]
         lines = (out / "trace_tr.csv").read_bytes().split(b"\n")
         assert lines[-1] == b"" and all(line.endswith(b"\r") for line in lines[:-1])
+
+    def test_repeated_family_gets_one_trace_per_spec(self, tmp_path):
+        out = tmp_path / "bench"
+        res = run_cli("bench", "--T-list", "64", "--replications", "2", "--d", "10",
+                      "--kernels", '{"family":"TR","c":0.4},TR,PR', "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        assert sorted(p.name for p in out.glob("trace_*.csv")) == [
+            "trace_pr.csv", "trace_tr.csv", "trace_tr_2.csv", "trace_truth.csv"]
+        # trace_tr.csv holds TR(c=0.4), the first TR spec, and trace_tr_2.csv TR(c=0.5)
+        assert (out / "trace_tr.csv").read_bytes() != (out / "trace_tr_2.csv").read_bytes()

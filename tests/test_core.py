@@ -215,6 +215,16 @@ class TestSerialization:
         assert np.array_equal(back.values, s.values)
         assert sorted(obj) == ["T", "d", "values"] and obj["d"] == 3 and obj["T"] == 6
 
+    @pytest.mark.parametrize("d, T", [(3.7, 5), (3, 5.9), ("3", 5), (True, 5),
+                                      (3, "5"), (3, True), (3, None), (3.0, 5)],
+                             ids=["d-float", "T-float", "d-string", "d-bool",
+                                  "T-string", "T-bool", "T-null", "d-integral-float"])
+    def test_series_json_needs_integer_counts(self, rng, d, T):
+        # d and T are not truncated: int(3.7) read a 3-column series as d = 3
+        obj = {"d": d, "T": T, "values": rng.standard_normal((5, 3)).tolist()}
+        with pytest.raises(ParseError, match="must be an integer"):
+            series_from_json_dict(obj)
+
     def test_estimate_json_roundtrip(self, rng):
         freqs = np.array([0.0, 0.5, 1.0])
         kernels = tuple(FrequencyKernel(random_hermitian(rng, 3)) for _ in freqs)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from ftspectra import (
     Grid,
     ImseConfig,
     SpectralEstimate,
-    TrueSpectrum,
     center,
     autocovariance,
+    estimate_from_json_dict,
     estimate_smoothed,
+    estimate_to_json_dict,
     generate_fma1,
     imse_experiment,
     imse_from_estimate,
@@ -45,7 +47,7 @@ def estimate_and_truth(frequencies):
     """An estimate and a truth on the frequencies, with the same kernels."""
     kernels = tuple(FrequencyKernel(np.eye(2)) for _ in frequencies)
     return (SpectralEstimate(frequencies, kernels, 0.5, "TR(c=0.5)", "smoothed-periodogram"),
-            TrueSpectrum(frequencies, kernels))
+            SpectralEstimate(frequencies, kernels, 0.0, "truth", "closed-form"))
 
 
 class TestModel:
@@ -137,6 +139,29 @@ class TestGenerate:
 
 
 class TestTrueSpectrum:
+    def test_is_a_spectral_estimate(self, model):
+        ts = true_spectrum(model)
+        assert isinstance(ts, SpectralEstimate)
+        assert (ts.kernel_id, ts.method, ts.bandwidth) == ("truth", "closed-form", 0.0)
+        assert len(ts.kernels) == ts.frequencies.size == 10
+
+    def test_json_roundtrip_bitwise(self, model):
+        ts = true_spectrum(model, np.array([0.0, 0.7, 3.0]))
+        back = estimate_from_json_dict(json.loads(json.dumps(estimate_to_json_dict(ts))))
+        assert back.frequencies.tobytes() == ts.frequencies.tobytes()
+        assert all(a.matrix.tobytes() == b.matrix.tobytes()
+                   for a, b in zip(back.kernels, ts.kernels))
+        assert (back.bandwidth, back.kernel_id, back.method) == (0.0, "truth", "closed-form")
+
+    @pytest.mark.parametrize("n_kernels", [1, 3], ids=["too-few", "too-many"])
+    def test_wrong_kernel_count_refused(self, model, n_kernels):
+        # a truth with one kernel too few or too many scored 0.0 against an
+        # identity estimate when imse_from_estimate paired kernels with zip;
+        # it can no longer be built
+        truth = true_spectrum(model, (0.0, np.pi / 2))
+        with pytest.raises(DimensionError):
+            dataclasses.replace(truth, kernels=(truth.kernels * 2)[:n_kernels])
+
     def test_white_noise_constant_in_omega(self, model):
         iid = zero_ma(model)
         ts = true_spectrum(iid, np.array([0.1, 1.0, 2.5]))
