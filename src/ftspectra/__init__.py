@@ -11,7 +11,6 @@ from .core import (
     ParseError,
     SpectralEstimate,
     center,
-    estimate_from_csv_dir,
     estimate_from_json_dict,
     estimate_to_csv_dir,
     estimate_to_json_dict,
@@ -20,7 +19,6 @@ from .core import (
     series_from_csv,
     series_from_json_dict,
     series_to_csv,
-    series_to_json_dict,
 )
 from .kernels import (
     FlatTopSpec,
@@ -28,7 +26,6 @@ from .kernels import (
     UnsupportedKernelError,
     baseline_weight,
     capital_lambda_batch,
-    capital_lambda_trapezoid,
     effective_flat_top_radius,
     epanechnikov,
     flat_top_parzen,

@@ -18,7 +18,6 @@ from .core import (
     DegenerateDataError,
     DomainError,
     FunctionalSeries,
-    ParseError,
     center,
     _readonly,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "correlogram",
     "select_bandwidth",
     "report_to_json_dict",
-    "report_from_json_dict",
 ]
 
 GRID_SIDE = 10
@@ -54,11 +52,6 @@ class BandwidthReport:
 
     def __post_init__(self):
         object.__setattr__(self, "q_grid", _readonly(np.asarray(self.q_grid, dtype=int)))
-
-    def pair_bandwidth(self, i: int, j: int) -> float:
-        """Bandwidth from the shift of a single grid pair instead of the
-        aggregate, for targeting one (tau, sigma)."""
-        return _bandwidth_from_q(int(self.q_grid[i, j]), self.c_ef)
 
 
 def _bandwidth_from_q(q: int, c_ef: float) -> float:
@@ -191,21 +184,3 @@ def report_to_json_dict(report: BandwidthReport) -> dict:
         "window_start": report.window_start,
         "truncated": report.truncated,
     }
-
-
-def report_from_json_dict(obj: dict) -> BandwidthReport:
-    try:
-        return BandwidthReport(
-            q_hat=int(obj["q_hat"]),
-            q_grid=np.asarray(obj["q_grid"], dtype=int),
-            B_T=float(obj["B_T"]),
-            c_ef=float(obj["c_ef"]),
-            C0=float(obj["C0"]),
-            K_T=int(obj["K_T"]),
-            aggregation=str(obj["aggregation"]),
-            threshold=float(obj["threshold"]),
-            window_start=int(obj["window_start"]),
-            truncated=bool(obj["truncated"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad bandwidth report JSON: {exc}") from exc

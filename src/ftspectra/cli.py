@@ -39,6 +39,7 @@ from .kernels import UnsupportedKernelError, parse_kernel
 from .psd import clip_estimate, min_eigenvalue
 from .sim import (
     ImseConfig,
+    _estimates,
     generate_fma1,
     make_fma1_model,
     parse_bandwidth_mode,
@@ -272,9 +273,7 @@ def _write_traces(out_dir, config: ImseConfig) -> None:
                                     for w, k in zip(freqs, kernels)])
 
     seen = {}   # specs per family so far: the k-th, k >= 2, is trace_<family>_<k>
-    for spec in config.kernel_specs:
-        bandwidth = resolve_bandwidth(config.bandwidth_mode, series, spec)
-        est = estimate_smoothed(series, spec, bandwidth, freqs)
+    for spec, est in zip(config.kernel_specs, _estimates(config, series, freqs)):
         family = spec.identifier.split("(")[0].lower()
         seen[family] = k = seen.get(family, 0) + 1
         name = family if k == 1 else f"{family}_{k}"

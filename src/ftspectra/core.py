@@ -62,10 +62,6 @@ class Grid:
     def points(self) -> np.ndarray:
         return (np.arange(self.d) + 0.5) / self.d
 
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.d
-
 
 @dataclass(frozen=True)
 class FunctionalSeries:
@@ -319,14 +315,6 @@ def series_from_csv(path) -> FunctionalSeries:
     return FunctionalSeries(Grid(len(header)), values)
 
 
-def series_to_json_dict(series: FunctionalSeries) -> dict:
-    return {
-        "d": series.d,
-        "T": series.n_curves,
-        "values": series.values.tolist(),
-    }
-
-
 def series_from_json_dict(obj: dict) -> FunctionalSeries:
     """Read {"d", "T", "values"}; d and T must be JSON integers (not bools),
     T is optional and other keys, such as the "centered" flag of older
@@ -392,15 +380,3 @@ def estimate_to_csv_dir(est: SpectralEstimate, path) -> None:
     for i, k in enumerate(est.kernels):
         write_csv(os.path.join(path, f"freq_{i:04d}_re.csv"), k.matrix.real)
         write_csv(os.path.join(path, f"freq_{i:04d}_im.csv"), k.matrix.imag)
-
-
-def estimate_from_csv_dir(path) -> SpectralEstimate:
-    """Read a directory written by :func:`estimate_to_csv_dir`."""
-    meta = read_json(os.path.join(path, "meta.json"))
-    freqs = meta.get("frequencies")
-    meta["kernels"] = [
-        {part: read_csv(os.path.join(path, f"freq_{i:04d}_{part}.csv"), header=False)[1]
-         for part in ("re", "im")}
-        for i in range(len(freqs) if isinstance(freqs, list) else 0)
-    ]
-    return estimate_from_json_dict(meta)

@@ -31,14 +31,12 @@ __all__ = [
     "lambda_eval",
     "support_radius",
     "capital_lambda_batch",
-    "capital_lambda_trapezoid",
     "weight_function",
     "baseline_weight",
     "effective_flat_top_radius",
     "kernel_moment",
     "check_bandwidth",
     "lag_weights",
-    "spec_to_json_dict",
     "spec_from_json_dict",
     "parse_kernel",
 ]
@@ -62,17 +60,18 @@ _DEFAULT_C = {
 }
 _DEFAULT_B = 0.25
 
+#: Tolerance defining the effective flat-top region: lam(s) >= 1 - EPSILON_EF.
+EPSILON_EF = 0.01
+
 
 @dataclass(frozen=True)
 class FlatTopSpec:
-    """Parametric description of a taper: family, flat-top half-width c,
-    shape parameter b (smooth family only), and the tolerance epsilon_ef
-    defining the effective flat-top region."""
+    """Parametric description of a taper: family, flat-top half-width c and
+    shape parameter b (smooth family only)."""
 
     family: KernelFamily
     c: float | None = None
     b: float | None = None
-    epsilon_ef: float = 0.01
 
     def __post_init__(self):
         family = KernelFamily(self.family)
@@ -97,8 +96,6 @@ class FlatTopSpec:
                         f"shape parameter b must be finite and positive, got {b}")
             elif b is not None:
                 raise DomainError(f"{family.value} takes no shape parameter b")
-        if not 0.0 < self.epsilon_ef < 1.0:
-            raise DomainError(f"epsilon_ef must lie in (0, 1), got {self.epsilon_ef}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b", b)
 
@@ -215,19 +212,6 @@ def capital_lambda_batch(spec: FlatTopSpec, xs) -> np.ndarray:
     return (out / np.pi).reshape(xs.shape)
 
 
-def capital_lambda_trapezoid(c: float, x):
-    """Closed form of the trapezoid smoothing kernel,
-    (cos(c x) - cos(x)) / (pi (1-c) x^2), with its x -> 0 limit (1+c)/(2 pi)."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-6
-    out[small] = (1.0 + c) / (2.0 * np.pi)
-    xb = x[~small]
-    out[~small] = (np.cos(c * xb) - np.cos(xb)) / (np.pi * (1.0 - c) * xb**2)
-    return float(out[0]) if scalar else out
-
-
 def check_bandwidth(bandwidth: float) -> float:
     """The bandwidth as a float; DomainError unless it lies in (0, 1]."""
     bandwidth = float(bandwidth)
@@ -272,10 +256,10 @@ def baseline_weight(bandwidth: float, x):
 
 
 def effective_flat_top_radius(spec: FlatTopSpec) -> float:
-    """Largest radius c_ef with lam(s) >= 1 - epsilon_ef on [-c_ef, c_ef],
+    """Largest radius c_ef with lam(s) >= 1 - EPSILON_EF on [-c_ef, c_ef],
     located by bisection on the strictly decaying tail (1e-6 precision)."""
     _require_flat_top(spec, "the effective flat-top radius")
-    target = 1.0 - spec.epsilon_ef
+    target = 1.0 - EPSILON_EF
     lo, hi = spec.c, support_radius(spec)
     if lambda_eval(spec, hi) >= target:  # cannot happen for these families
         return hi
@@ -311,15 +295,6 @@ def kernel_moment(spec: FlatTopSpec, k: int, truncation: float = 200.0) -> float
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def spec_to_json_dict(spec: FlatTopSpec) -> dict:
-    out = {"family": spec.family.value}
-    if spec.family is not KernelFamily.EPANECHNIKOV:
-        out["c"] = spec.c
-    if spec.family is KernelFamily.INFINITELY_DIFFERENTIABLE:
-        out["b"] = spec.b
-    return out
-
 
 def spec_from_json_dict(obj: dict) -> FlatTopSpec:
     try:

@@ -224,6 +224,11 @@ class ImseConfig:
             raise DomainError(f"need at least two runs, got {self.n_runs}")
         if self.n_jobs < 1:
             raise DomainError(f"n_jobs must be at least 1, got {self.n_jobs}")
+        # one row and one trace per spec, labelled by its identifier
+        identifiers = [spec.identifier for spec in self.kernel_specs]
+        for i, identifier in enumerate(identifiers):
+            if identifier in identifiers[:i]:
+                raise DomainError(f"two kernel specs share the identifier {identifier}")
         object.__setattr__(self, "bandwidth_mode",
                            parse_bandwidth_mode(self.bandwidth_mode))
 
@@ -268,22 +273,25 @@ def resolve_bandwidth(mode, series: FunctionalSeries, spec) -> float:
     return float(mode)
 
 
-def _run_replication(config: ImseConfig, task) -> dict:
+def _estimates(config: ImseConfig, series: FunctionalSeries, frequencies=None):
+    """Yield the smoothed estimate of the series for each kernel spec of the
+    config, in spec order, at the bandwidth the config's mode gives it."""
+    for spec in config.kernel_specs:
+        bandwidth = resolve_bandwidth(config.bandwidth_mode, series, spec)
+        yield estimate_smoothed(series, spec, bandwidth, frequencies)
+
+
+def _run_replication(config: ImseConfig, task) -> list:
     """One (T, replication) cell: simulate from the task's generator stream,
-    estimate with every kernel spec of the config, and return the per-kernel
-    IMSE against the replication's own truth."""
+    estimate with every kernel spec of the config, and return the IMSE of
+    each against the replication's own truth, in spec order."""
     T, seed_ss, operators = task
     rng = np.random.default_rng(seed_ss)
     a0, a1 = _draw_operators(rng) if operators is None else operators
     model = Fma1Model(a0, a1, innovation_variances(N_INNOV), Grid(config.d))
     series = generate_fma1(model, T, rng=rng)
     truth = true_spectrum(model)
-    out = {}
-    for spec in config.kernel_specs:
-        bandwidth = resolve_bandwidth(config.bandwidth_mode, series, spec)
-        est = estimate_smoothed(series, spec, bandwidth)
-        out[spec.identifier] = imse_from_estimate(est, truth)
-    return out
+    return [imse_from_estimate(est, truth) for est in _estimates(config, series)]
 
 
 def imse_experiment(config: ImseConfig) -> list:
@@ -315,8 +323,8 @@ def imse_experiment(config: ImseConfig) -> list:
                   else repr(config.bandwidth_mode))
     for ti, T in enumerate(config.T_list):
         cell = results[ti * config.n_runs:(ti + 1) * config.n_runs]
-        for spec in config.kernel_specs:
-            imses = np.array([c[spec.identifier] for c in cell])
+        for k, spec in enumerate(config.kernel_specs):
+            imses = np.array([c[k] for c in cell])
             mean = float(imses.mean())
             se_mean = float(imses.std(ddof=1) / math.sqrt(imses.size))
             rows.append(ImseRow(

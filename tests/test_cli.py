@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from ftspectra import (
-    center,
-    estimate_from_csv_dir,
     estimate_from_json_dict,
     estimate_smoothed,
     generate_fma1,
     make_fma1_model,
+    parse_kernel,
+    select_bandwidth,
     series_from_csv,
     trapezoid,
+    true_spectrum,
 )
-from ftspectra.bandwidth import report_from_json_dict
+from ftspectra.bandwidth import gamma_grid_indices
+from ftspectra.core import read_csv
 
 
 def run_cli(*args, cwd=None):
@@ -65,9 +67,10 @@ class TestEstimate:
         for a, b in zip(est.kernels, expected.kernels):
             assert np.array_equal(a.matrix, b.matrix)
 
-        disk = estimate_from_csv_dir(tmp_path / "est_csv")
-        for a, b in zip(disk.kernels, expected.kernels):
-            assert np.array_equal(a.matrix, b.matrix)
+        for i, b in enumerate(expected.kernels):
+            parts = [read_csv(tmp_path / "est_csv" / f"freq_{i:04d}_{part}.csv",
+                              header=False)[1] for part in ("re", "im")]
+            assert np.array_equal(parts[0] + 1j * parts[1], b.matrix)
 
     def test_rerun_is_byte_identical_one_matrix_row_per_line(self, data_csv, tmp_path):
         outputs = []
@@ -139,9 +142,9 @@ class TestBandwidthCommand:
                       "--out", str(out))
         assert res.returncode == 0, res.stderr
         with open(out) as fh:
-            report = report_from_json_dict(json.load(fh))
-        assert report.q_hat >= 0
-        assert np.asarray(report.q_grid).shape == (10, 10)
+            report = json.load(fh)
+        assert report["q_hat"] >= 0
+        assert np.asarray(report["q_grid"]).shape == (10, 10)
 
 
 class TestExitCodes:
@@ -415,3 +418,37 @@ class TestBench:
             "trace_pr.csv", "trace_tr.csv", "trace_tr_2.csv", "trace_truth.csv"]
         # trace_tr.csv holds TR(c=0.4), the first TR spec, and trace_tr_2.csv TR(c=0.5)
         assert (out / "trace_tr.csv").read_bytes() != (out / "trace_tr_2.csv").read_bytes()
+
+    def test_repeated_identical_spec_is_config_error(self, tmp_path):
+        out = tmp_path / "bench"
+        res = run_cli("bench", "--T-list", "64", "--replications", "2", "--d", "10",
+                      "--kernels", "TR,TR", "--out-dir", str(out))
+        assert res.returncode == 1
+        err = json.loads(res.stderr)["error"]
+        assert err["type"] == "DomainError" and "TR(c=0.5)" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, kernels", [("rate", "EPA,TR,PR,ID"),
+                                               ("auto", "TR,PR,ID")])
+    def test_trace_rows_are_the_library_estimates(self, tmp_path, mode, kernels):
+        out = tmp_path / "bench"
+        res = run_cli("bench", "--T-list", "32,64", "--replications", "2", "--d", "12",
+                      "--seed", "5", "--kernels", kernels, "--bandwidth", mode,
+                      "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        model = make_fma1_model(5, d=12)
+        series = generate_fma1(model, 64)
+        freqs = np.linspace(0.0, np.pi, 65)
+        expected = {"truth": true_spectrum(model, freqs)}
+        for text in kernels.split(","):
+            spec = parse_kernel(text)
+            bandwidth = 64 ** -0.2 if mode == "rate" else select_bandwidth(series, spec).B_T
+            expected[text.lower()] = estimate_smoothed(series, spec, bandwidth, freqs)
+        assert sorted(p.name for p in out.glob("trace_*.csv")) == sorted(
+            f"trace_{name}.csv" for name in expected)
+        idx = gamma_grid_indices(12)
+        for name, est in expected.items():
+            rows = read_csv(out / f"trace_{name}.csv", header=True)[1]
+            want = [[w, *np.abs(np.diagonal(k.matrix))[idx]]
+                    for w, k in zip(freqs, est.kernels)]
+            assert np.array_equal(rows, np.array(want)), name

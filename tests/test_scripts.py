@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,51 @@ def test_export_kernel_shapes(tmp_path):
         assert head == header, name
         assert values.shape == (n_rows, 4), name
         assert np.all(np.isfinite(values)), name
+
+
+def write_records(out_dir, seeds, metrics, problems):
+    """One <workload>-seed<s>-trace0.json record per seed, as perfbench
+    writes them: wall_p50_s and reps_per_s from the given per-seed values,
+    the other end-to-end metrics fixed."""
+    out_dir.mkdir()
+    for i, seed in enumerate(seeds):
+        record = {
+            "facts": {"nproc": 2, "python": "3.x"},
+            "metrics": {"wall_p50_s": metrics["wall_p50_s"][i], "wall_tail_s": 1.0,
+                        "peak_rss_mb": 100.0, "reps_per_s": metrics["reps_per_s"][i],
+                        "setup_s": 0.5},
+            "problems": problems[i],
+        }
+        (out_dir / f"wl-seed{seed}-trace0.json").write_text(json.dumps(record))
+
+
+def test_bench_summary(tmp_path):
+    write_records(tmp_path / "parent", [1, 2, 3],
+                  {"wall_p50_s": [1.0, 2.0, 4.0], "reps_per_s": [10.0, 20.0, 30.0]},
+                  [[], [], []])
+    # seed 1 ties on both metrics, which counts for neither side
+    write_records(tmp_path / "change", [1, 2, 3],
+                  {"wall_p50_s": [1.0, 1.5, 3.0], "reps_per_s": [10.0, 25.0, 20.0]},
+                  [[], ["bad row"], []])
+    out = tmp_path / "BENCH_x.json"
+    res = subprocess.run([sys.executable, str(SCRIPTS / "bench_summary.py"), "--pr", "x",
+                          "--parent", str(tmp_path / "parent"),
+                          "--change", str(tmp_path / "change"), "--out", str(out)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    wl = json.loads(out.read_text())["workloads"]["wl"]
+    assert wl["failed_operations"] == {"parent": 0, "change": 1}
+    assert sorted(wl["metrics"]) == ["peak_rss_mb", "reps_per_s", "setup_s",
+                                     "wall_p50_s", "wall_tail_s"]
+    wall = wl["metrics"]["wall_p50_s"]
+    # inclusive quartiles of three values a <= b <= c: (a+b)/2, b, (b+c)/2
+    assert {k: wall["parent"][k] for k in ("q1", "median", "q3")} == {
+        "q1": 1.5, "median": 2.0, "q3": 3.0}
+    assert {k: wall["change"][k] for k in ("q1", "median", "q3")} == {
+        "q1": 1.25, "median": 1.5, "q3": 2.25}
+    assert wall["change_over_parent"] == 0.75
+    assert wall["change_wins"] == "2 of 3 seed pairs"
+    reps = wl["metrics"]["reps_per_s"]
+    assert reps["change_over_parent"] == 1.0
+    assert reps["change_wins"] == "1 of 3 seed pairs"
+    assert wl["metrics"]["setup_s"]["change_wins"] == "0 of 3 seed pairs"

@@ -14,6 +14,7 @@ from ftspectra import (
     SpectralEstimate,
     center,
     autocovariance,
+    epanechnikov,
     estimate_from_json_dict,
     estimate_smoothed,
     estimate_to_json_dict,
@@ -263,6 +264,21 @@ class TestImseExperiment:
             ImseConfig(n_jobs=0)
         with pytest.raises(DomainError):  # 2 * 16^(-1/5) > 1
             resolve_bandwidth("2rate", generate_fma1(model, 16), trapezoid())
+
+    def test_repeated_kernel_spec_rejected(self):
+        with pytest.raises(DomainError, match=r"share the identifier TR\(c=0.5\)"):
+            ImseConfig(kernel_specs=(trapezoid(), epanechnikov(), trapezoid()))
+        # distinct specs of one family stay allowed
+        assert len(ImseConfig(kernel_specs=(trapezoid(0.4), trapezoid())).kernel_specs) == 2
+
+    def test_rows_follow_spec_position(self):
+        base = dict(T_list=(64,), n_runs=2, d=10, seed=6)
+        forward = imse_experiment(ImseConfig(kernel_specs=(epanechnikov(), trapezoid()),
+                                             **base))
+        backward = imse_experiment(ImseConfig(kernel_specs=(trapezoid(), epanechnikov()),
+                                              **base))
+        assert [r.kernel for r in forward] == ["EPA", "TR(c=0.5)"]
+        assert forward == backward[::-1]
 
     @pytest.mark.parametrize("frequencies", [(0.3, 0.4, 2.0), (0.3, 0.4, 0.5),
                                              (0.0, 0.5, 1.5), (0.0, 0.0), (),
