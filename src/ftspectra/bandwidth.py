@@ -112,8 +112,17 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
     effective flat-top radius (the Epanechnikov baseline).
     """
     c_ef = effective_flat_top_radius(spec)
-    series = center(series)
-    T = series.n_curves
+    fields = _search(center(series).values, C0, aggregation, window_start, K_T)
+    return BandwidthReport(B_T=_bandwidth_from_q(fields["q_hat"], c_ef), c_ef=c_ef,
+                           **fields)
+
+
+def _search(values: np.ndarray, C0: float = 2.0, aggregation: str = "mean",
+            window_start: int = 1, K_T: int | None = None) -> dict:
+    """The correlogram search of select_bandwidth on the centered T x d
+    values: every BandwidthReport field but B_T and c_ef, the only ones that
+    depend on the kernel spec."""
+    T, d = values.shape
     if T < 8:
         raise DomainError(f"bandwidth selection needs T >= 8, got T = {T}")
     if window_start not in (0, 1):
@@ -126,8 +135,8 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
     if K_T < 0:
         raise DomainError(f"K_T must be nonnegative, got {K_T}")
 
-    idx = gamma_grid_indices(series.d)
-    sub = series.values[:, idx]                       # T x 10
+    idx = gamma_grid_indices(d)
+    sub = values[:, idx]                              # T x 10
     r0 = np.diagonal(_lag_product(sub, 0))
     if np.any(r0 <= 0.0):
         raise DegenerateDataError("zero variance at a probed grid point")
@@ -155,20 +164,16 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
 
     truncated = not found.all()
     q_grid = np.where(found, passes.argmax(axis=0), q_cap)
-
-    q_hat = _aggregate(q_grid, aggregation)
-    return BandwidthReport(
-        q_hat=q_hat,
-        q_grid=q_grid,
-        B_T=_bandwidth_from_q(q_hat, c_ef),
-        c_ef=c_ef,
-        C0=float(C0),
-        K_T=K_T,
-        aggregation=aggregation,
-        threshold=threshold,
-        window_start=window_start,
-        truncated=truncated,
-    )
+    return {
+        "q_hat": _aggregate(q_grid, aggregation),
+        "q_grid": q_grid,
+        "C0": float(C0),
+        "K_T": K_T,
+        "aggregation": aggregation,
+        "threshold": threshold,
+        "window_start": window_start,
+        "truncated": truncated,
+    }
 
 
 def report_to_json_dict(report: BandwidthReport) -> dict:

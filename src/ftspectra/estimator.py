@@ -1,7 +1,8 @@
 """Frequency-domain machinery: functional DFT, sample autocovariance kernels,
 and the two spectral density estimators (smoothed periodogram and lag
 window). For flat-top tapers both estimators are one lag sum over a stack of
-autocovariances, circular or linear. Every function centers its own input."""
+autocovariances, circular or linear. Every public function centers its own
+input."""
 
 from __future__ import annotations
 
@@ -40,8 +41,12 @@ def fdft_all(series: FunctionalSeries) -> np.ndarray:
     2*pi*s/T, s = 0..T-1, as a T x d complex matrix with row s
     Xtilde_omega(tau_i) = (2*pi*T)^(-1/2) * sum_t X_t(tau_i) e^(-i omega t).
     Cost O(d T log T) via an FFT over the time axis."""
-    T = series.n_curves
-    return np.fft.fft(center(series).values, axis=0) / math.sqrt(TWO_PI * T)
+    return _fdft(center(series).values)
+
+
+def _fdft(values: np.ndarray) -> np.ndarray:
+    """fdft_all of the already centered T x d values."""
+    return np.fft.fft(values, axis=0) / math.sqrt(TWO_PI * values.shape[0])
 
 
 def _lag_product(values: np.ndarray, u: int, circular: bool = False) -> np.ndarray:
@@ -94,33 +99,35 @@ def _frequencies(frequencies) -> np.ndarray:
     return check_frequencies(DEFAULT_FREQUENCIES if frequencies is None else frequencies)
 
 
-def _flat_top_estimate(series, spec, bandwidth, frequencies, circular,
-                       method) -> SpectralEstimate:
-    frequencies = _frequencies(frequencies)
+def _flat_top_lags(spec, bandwidth, T: int, circular: bool) -> np.ndarray:
+    """lam(B u) for u = 0..L, L the last lag with a nonzero weight (linear lags
+    end at T - 1); the trailing zero weights add nothing to the lag sum."""
     lam = lag_weights(spec, bandwidth)
     if not circular:
-        lam = lam[: series.n_curves]  # linear lags end at T - 1
-    n_lags = int(np.flatnonzero(lam)[-1])  # trailing zero weights add nothing
-    stack = _autocovariance_stack(center(series).values, n_lags, circular)
-    matrices = _lag_sum(stack, lam, frequencies)
+        lam = lam[:T]
+    return lam[: int(np.flatnonzero(lam)[-1]) + 1]
+
+
+def _flat_top_core(stack, lam, spec, bandwidth, frequencies, method) -> SpectralEstimate:
+    """Flat-top estimate from a lag stack that holds at least the lags
+    0..L of lam."""
+    matrices = _lag_sum(stack[: lam.size], lam, frequencies)
     kernels = tuple(FrequencyKernel(m) for m in matrices)
     return SpectralEstimate(frequencies, kernels, float(bandwidth),
                             spec.identifier, method)
 
 
-def _baseline_smoothed(series, bandwidth, frequencies) -> SpectralEstimate:
-    """Epanechnikov-weighted periodogram average. The baseline weight has no
-    finite lag form, so the ordinates are summed directly, one frequency at a
-    time, and only those inside the weight's support |omega - omega_s| <= B
-    (mod 2*pi): s from ceil((omega - B) T / (2*pi)) - 1 to
-    floor((omega + B) T / (2*pi)) + 1, reduced mod T, without repeats and
-    without s = 0. The one-ordinate margin on each side leaves the support
-    test to baseline_weight, so every nonzero term of the full sum over
-    s = 1..T-1 is kept."""
-    frequencies = _frequencies(frequencies)
+def _baseline_core(F, bandwidth, frequencies) -> SpectralEstimate:
+    """Epanechnikov-weighted periodogram average from the T x d fDFT F of the
+    centered series. The baseline weight has no finite lag form, so the
+    ordinates are summed directly, one frequency at a time, and only those
+    inside the weight's support |omega - omega_s| <= B (mod 2*pi): s from
+    ceil((omega - B) T / (2*pi)) - 1 to floor((omega + B) T / (2*pi)) + 1,
+    reduced mod T, without repeats and without s = 0. The one-ordinate margin
+    on each side leaves the support test to baseline_weight, so every nonzero
+    term of the full sum over s = 1..T-1 is kept."""
     bandwidth = check_bandwidth(bandwidth)
-    T = series.n_curves
-    F = fdft_all(series)
+    T = F.shape[0]
     F_conj = F.conj()
     scale = TWO_PI / T
     kernels = []
@@ -134,6 +141,25 @@ def _baseline_smoothed(series, bandwidth, frequencies) -> SpectralEstimate:
         kernels.append(FrequencyKernel(hermitize(m)))
     return SpectralEstimate(frequencies, tuple(kernels), float(bandwidth), "EPA",
                             METHOD_SMOOTHED)
+
+
+def _smoothed_estimates(values, specs, bandwidths, frequencies):
+    """An iterator over estimate_smoothed of the centered T x d values for
+    each spec at its bandwidth. The specs share the work, done here: the
+    flat-top ones contract one circular lag stack built at their largest lag
+    count, the baselines one fDFT. Lag u of a stack is the same lag product
+    however many lags the stack holds, so each estimate is the one-spec
+    estimate bit for bit. The iterator holds the stack and the fDFT, not the
+    values, and makes one estimate at a time."""
+    T = values.shape[0]
+    lams = [_flat_top_lags(spec, bandwidth, T, circular=True) if spec.is_flat_top
+            else None for spec, bandwidth in zip(specs, bandwidths)]
+    sizes = [lam.size for lam in lams if lam is not None]
+    stack = _autocovariance_stack(values, max(sizes) - 1, circular=True) if sizes else None
+    F = _fdft(values) if any(lam is None for lam in lams) else None
+    return (_baseline_core(F, bandwidth, frequencies) if lam is None
+            else _flat_top_core(stack, lam, spec, bandwidth, frequencies, METHOD_SMOOTHED)
+            for spec, bandwidth, lam in zip(specs, bandwidths, lams))
 
 
 def estimate_smoothed(series: FunctionalSeries, spec: FlatTopSpec,
@@ -152,10 +178,9 @@ def estimate_smoothed(series: FunctionalSeries, spec: FlatTopSpec,
     multiplies the ordinates directly, summing only those inside its support
     |omega - 2*pi*s/T| <= B (mod 2*pi), where it is nonzero.
     """
-    if spec.family is KernelFamily.EPANECHNIKOV:
-        return _baseline_smoothed(series, bandwidth, frequencies)
-    return _flat_top_estimate(series, spec, bandwidth, frequencies,
-                              circular=True, method=METHOD_SMOOTHED)
+    frequencies = _frequencies(frequencies)
+    return next(_smoothed_estimates(center(series).values, (spec,), (bandwidth,),
+                                    frequencies))
 
 
 def estimate_lagwindow(series: FunctionalSeries, spec: FlatTopSpec,
@@ -169,5 +194,7 @@ def estimate_lagwindow(series: FunctionalSeries, spec: FlatTopSpec,
     """
     if spec.family is KernelFamily.EPANECHNIKOV:
         raise UnsupportedKernelError("the Epanechnikov baseline has no lag-window form")
-    return _flat_top_estimate(series, spec, bandwidth, frequencies,
-                              circular=False, method=METHOD_LAG_WINDOW)
+    frequencies = _frequencies(frequencies)
+    lam = _flat_top_lags(spec, bandwidth, series.n_curves, circular=False)
+    stack = _autocovariance_stack(center(series).values, lam.size - 1, circular=False)
+    return _flat_top_core(stack, lam, spec, bandwidth, frequencies, METHOD_LAG_WINDOW)

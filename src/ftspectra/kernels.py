@@ -108,8 +108,15 @@ class FlatTopSpec:
         if self.family is KernelFamily.EPANECHNIKOV:
             return "EPA"
         if self.family is KernelFamily.INFINITELY_DIFFERENTIABLE:
-            return f"ID(b={self.b:g},c={self.c:g})"
-        return f"{self.family.value}(c={self.c:g})"
+            return f"ID(b={_label(self.b)},c={_label(self.c)})"
+        return f"{self.family.value}(c={_label(self.c)})"
+
+
+def _label(x: float) -> str:
+    """x in the short :g form when that reads back as x, else in full, so
+    distinct parameters never share an identifier."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 def trapezoid(c: float | None = None) -> FlatTopSpec:

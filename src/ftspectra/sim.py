@@ -23,7 +23,7 @@ from .core import (
     FunctionalSeries,
     Grid,
     SpectralEstimate,
-    center,  # not called here; perfbench wraps sim.center in its traced runs
+    center,
     check_frequencies,
     hermitize,
     hs_distance,
@@ -31,10 +31,16 @@ from .core import (
     write_json,
     _readonly,
 )
-from .bandwidth import select_bandwidth
-from .estimator import DEFAULT_FREQUENCIES, estimate_smoothed
+from .bandwidth import _bandwidth_from_q, _search, select_bandwidth
+from .estimator import (
+    DEFAULT_FREQUENCIES,
+    _frequencies,
+    _smoothed_estimates,
+    estimate_smoothed,  # not called here; perfbench's traced runs wrap sim.estimate_smoothed
+)
 from .kernels import (
     check_bandwidth,
+    effective_flat_top_radius,
     epanechnikov,
     flat_top_parzen,
     infinitely_differentiable,
@@ -273,12 +279,30 @@ def resolve_bandwidth(mode, series: FunctionalSeries, spec) -> float:
     return float(mode)
 
 
+def _bandwidths(mode, centered: FunctionalSeries, specs) -> list:
+    """resolve_bandwidth for each spec, given the centered series. Under
+    'auto' one correlogram search serves every spec, since only the
+    effective flat-top radius c_ef depends on the spec; every c_ef is found
+    first, so a spec without one is refused before the search."""
+    if mode != "auto":
+        return [resolve_bandwidth(mode, centered, spec) for spec in specs]
+    c_efs = [effective_flat_top_radius(spec) for spec in specs]
+    q_hat = _search(centered.values)["q_hat"]
+    return [_bandwidth_from_q(q_hat, c_ef) for c_ef in c_efs]
+
+
 def _estimates(config: ImseConfig, series: FunctionalSeries, frequencies=None):
-    """Yield the smoothed estimate of the series for each kernel spec of the
-    config, in spec order, at the bandwidth the config's mode gives it."""
-    for spec in config.kernel_specs:
-        bandwidth = resolve_bandwidth(config.bandwidth_mode, series, spec)
-        yield estimate_smoothed(series, spec, bandwidth, frequencies)
+    """The smoothed estimate of the series for each kernel spec of the
+    config, in spec order, at the bandwidth the config's mode gives it; each
+    equal to estimate_smoothed's, bit for bit. The series is centered once
+    and every bandwidth resolved here, before any estimate is made, so a
+    refused bandwidth fails first; the estimates, yielded one at a time,
+    share one lag stack."""
+    frequencies = _frequencies(frequencies)
+    centered = center(series)
+    bandwidths = _bandwidths(config.bandwidth_mode, centered, config.kernel_specs)
+    return _smoothed_estimates(centered.values, config.kernel_specs, bandwidths,
+                               frequencies)
 
 
 def _run_replication(config: ImseConfig, task) -> list:

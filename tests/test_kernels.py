@@ -290,6 +290,19 @@ class TestSerialization:
             infinitely_differentiable()
         assert spec_from_json_dict({"family": "EPA"}) == epanechnikov()
 
+    def test_default_identifiers(self):
+        assert [s.identifier for s in (epanechnikov(), trapezoid(), flat_top_parzen(),
+                                       infinitely_differentiable())] == \
+            ["EPA", "TR(c=0.5)", "PR(c=0.75)", "ID(b=0.25,c=0.05)"]
+
+    def test_identifier_tells_close_parameters_apart(self):
+        # six significant digits would give both TR(c=0.5)
+        near = parse_kernel('{"family": "TR", "c": 0.5000001}')
+        assert near.identifier == "TR(c=0.5000001)"
+        assert near.identifier != parse_kernel('{"family": "TR", "c": 0.5}').identifier
+        assert infinitely_differentiable(b=0.25 + 1e-12).identifier == \
+            f"ID(b={0.25 + 1e-12!r},c=0.05)"
+
     def test_parse_kernel_bare_and_json(self):
         assert parse_kernel("tr") == trapezoid()
         assert parse_kernel('{"family": "ID", "b": 0.5, "c": 0.1}') == \

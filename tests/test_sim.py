@@ -25,7 +25,8 @@ from ftspectra import (
     trapezoid,
     true_spectrum,
 )
-from ftspectra import sim
+from ftspectra import UnsupportedKernelError, estimator, parse_kernel, sim
+from ftspectra import bandwidth as ftbandwidth
 from ftspectra.sim import (
     basis_matrix,
     imse_frequency_weights,
@@ -215,7 +216,7 @@ class TestImseExperiment:
         # an estimator that returns the truth scores exactly zero
         estimate, truth = estimate_and_truth(np.pi * np.arange(10) / 10)
         monkeypatch.setattr(sim, "true_spectrum", lambda model: truth)
-        monkeypatch.setattr(sim, "estimate_smoothed", lambda *args: estimate)
+        monkeypatch.setattr(sim, "_estimates", lambda *args: [estimate])
         cfg = ImseConfig(T_list=(64,), n_runs=2, d=10,
                          kernel_specs=(trapezoid(),), seed=5)
         rows = imse_experiment(cfg)
@@ -271,6 +272,12 @@ class TestImseExperiment:
         # distinct specs of one family stay allowed
         assert len(ImseConfig(kernel_specs=(trapezoid(0.4), trapezoid())).kernel_specs) == 2
 
+    def test_close_parameters_are_distinct_specs(self):
+        near = parse_kernel('{"family": "TR", "c": 0.5000001}')
+        config = ImseConfig(kernel_specs=(trapezoid(), near))
+        assert [s.identifier for s in config.kernel_specs] == \
+            ["TR(c=0.5)", "TR(c=0.5000001)"]
+
     def test_rows_follow_spec_position(self):
         base = dict(T_list=(64,), n_runs=2, d=10, seed=6)
         forward = imse_experiment(ImseConfig(kernel_specs=(epanechnikov(), trapezoid()),
@@ -318,6 +325,82 @@ class TestImseExperiment:
             imse_from_estimate(est, true_spectrum(model, [0.0, 0.5]))
         with pytest.raises(DimensionError):
             imse_from_estimate(est, true_spectrum(model, est.frequencies + 0.01))
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name with a wrapper that records each call's arguments."""
+    calls, original = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSharedReplicationWork:
+    """sim._estimates centers once and shares one circular lag stack, one
+    fDFT and, under 'auto', one correlogram search among the specs."""
+
+    FORWARD = sim.DEFAULT_KERNELS
+    BACKWARD = tuple(parse_kernel(k) for k in ("ID", "PR", "TR", "EPA"))
+
+    @pytest.mark.parametrize("specs", [FORWARD, BACKWARD], ids=["forward", "backward"])
+    @pytest.mark.parametrize("T, mode", [(16, "rate"), (256, "rate"), (16, 0.05)],
+                             ids=["T16-rate", "T256-rate", "T16-wrapped"])
+    @pytest.mark.parametrize("frequencies", [None, np.linspace(0.0, np.pi, 65)],
+                             ids=["paper-grid", "trace-grid"])
+    def test_bitwise_the_per_spec_estimator(self, model, specs, T, mode, frequencies):
+        series = generate_fma1(model, T)
+        config = ImseConfig(kernel_specs=specs, bandwidth_mode=mode)
+        if mode == 0.05:  # L >= T: the stack's lags wrap around mod T
+            lags = [estimator._flat_top_lags(s, mode, T, circular=True).size - 1
+                    for s in specs if s.is_flat_top]
+            assert min(lags) >= T
+        shared = list(sim._estimates(config, series, frequencies))
+        assert len(shared) == len(specs)
+        for spec, est in zip(specs, shared):
+            one = estimate_smoothed(series, spec, resolve_bandwidth(mode, series, spec),
+                                    frequencies)
+            assert (est.kernel_id, est.bandwidth, est.method) == \
+                (one.kernel_id, one.bandwidth, one.method)
+            assert np.array_equal(est.frequencies, one.frequencies)
+            for a, b in zip(est.kernels, one.kernels, strict=True):
+                assert np.array_equal(a.matrix, b.matrix)
+
+    def test_one_center_and_one_lag_stack_per_replication(self, monkeypatch):
+        config = ImseConfig(T_list=(2048,))
+        products = counting(monkeypatch, estimator, "_lag_product")
+        centers = counting(monkeypatch, sim, "center")
+        imses = sim._run_replication(config, (2048, np.random.SeedSequence(0), None))
+        assert len(imses) == 4
+        assert len(centers) == 1
+        # rate bandwidth at T = 2048: L = 4, 8, 4 for TR, PR, ID
+        assert [args[1] for args, _ in products] == list(range(9))
+        assert all(args[2] for args, _ in products)  # circular
+
+    def test_auto_searches_once_per_replication(self, model, monkeypatch):
+        series = generate_fma1(model, 256)
+        stacks = counting(monkeypatch, ftbandwidth, "_autocovariance_stack")
+        ftbandwidth.select_bandwidth(series, trapezoid())
+        one_search = len(stacks)
+        assert one_search >= 1
+        stacks.clear()
+        specs = tuple(parse_kernel(k) for k in ("TR", "PR", "ID"))
+        config = ImseConfig(kernel_specs=specs, bandwidth_mode="auto")
+        shared = list(sim._estimates(config, series))
+        assert len(stacks) == one_search
+        assert [e.bandwidth for e in shared] == \
+            [ftbandwidth.select_bandwidth(series, s).B_T for s in specs]
+
+    def test_auto_refuses_the_baseline_before_any_search(self, model, monkeypatch):
+        stacks = counting(monkeypatch, ftbandwidth, "_autocovariance_stack")
+        config = ImseConfig(kernel_specs=(trapezoid(), epanechnikov()),
+                            bandwidth_mode="auto")
+        with pytest.raises(UnsupportedKernelError):
+            next(sim._estimates(config, generate_fma1(model, 256)))
+        assert stacks == []
 
 
 class TestEstimatorMeanRecoversTruth:
