@@ -9,7 +9,7 @@ flat-top radius: B = 1 / max(ceil(q / c_ef), 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,14 +58,6 @@ def _bandwidth_from_q(q: int, c_ef: float) -> float:
     return 1.0 / max(math.ceil(q / c_ef), 1)
 
 
-def _aggregate(q_grid: np.ndarray, aggregation: str) -> int:
-    if aggregation == "max":
-        return int(q_grid.max())
-    if aggregation == "mean":
-        return int(math.ceil(q_grid.mean()))
-    raise DomainError(f"aggregation must be 'max' or 'mean', got {aggregation!r}")
-
-
 def gamma_grid_indices(d: int) -> np.ndarray:
     """Nearest midpoint-grid indices for the probe points i/10, i = 0..9."""
     idx = np.array([round(i * d / 10 - 0.5) for i in range(GRID_SIDE)], dtype=int)
@@ -94,11 +86,12 @@ def correlogram(series: FunctionalSeries, lag: int, tau_idx: int, sigma_idx: int
 
 def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
                      C0: float = 2.0, aggregation: str = "mean",
-                     window_start: int = 1, K_T: int | None = None) -> BandwidthReport:
+                     window_start: int = 1) -> BandwidthReport:
     """Empirical bandwidth rule over the 10 x 10 probe grid.
 
     Per pair, q is the smallest shift such that |rhohat_{m+q}| stays below the
-    threshold for every m = window_start..K_T. With window_start = 1 (default)
+    threshold for every m = window_start..K_T, with the window length
+    K_T = max(5, ceil(sqrt(log10 T))). With window_start = 1 (default)
     the window covers the lags strictly beyond q, matching the simultaneous
     confidence-band reading of the rule; window_start = 0 additionally tests
     lag q itself, which can never pass at q = 0 on the diagonal (rhohat_0 = 1)
@@ -108,44 +101,29 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
     single outlying pair from dominating; ``max`` is the conservative variant.
     If some pair stays significant through the largest testable shift, its
     entry is capped at T - K_T - 1 and the report is flagged as truncated.
-    UnsupportedKernelError, before any search, for a spec without an
-    effective flat-top radius (the Epanechnikov baseline).
+    Every option is checked before the search: UnsupportedKernelError for a
+    spec without an effective flat-top radius (the Epanechnikov baseline),
+    DomainError for a bad option or T < 8.
     """
     c_ef = effective_flat_top_radius(spec)
-    fields = _search(center(series).values, C0, aggregation, window_start, K_T)
-    return BandwidthReport(B_T=_bandwidth_from_q(fields["q_hat"], c_ef), c_ef=c_ef,
-                           **fields)
-
-
-def _search(values: np.ndarray, C0: float = 2.0, aggregation: str = "mean",
-            window_start: int = 1, K_T: int | None = None) -> dict:
-    """The correlogram search of select_bandwidth on the centered T x d
-    values: every BandwidthReport field but B_T and c_ef, the only ones that
-    depend on the kernel spec."""
-    T, d = values.shape
+    T = series.n_curves
     if T < 8:
         raise DomainError(f"bandwidth selection needs T >= 8, got T = {T}")
     if window_start not in (0, 1):
         raise DomainError(f"window_start must be 0 or 1, got {window_start}")
     if not (math.isfinite(C0) and C0 > 0.0):
         raise DomainError(f"C0 must be finite and positive, got {C0}")
-    if K_T is None:
-        K_T = max(5, math.ceil(math.sqrt(math.log10(T))))
-    K_T = int(K_T)
-    if K_T < 0:
-        raise DomainError(f"K_T must be nonnegative, got {K_T}")
+    if aggregation not in ("max", "mean"):
+        raise DomainError(f"aggregation must be 'max' or 'mean', got {aggregation!r}")
+    K_T = max(5, math.ceil(math.sqrt(math.log10(T))))
 
-    idx = gamma_grid_indices(d)
-    sub = values[:, idx]                              # T x 10
+    values = center(series).values
+    sub = values[:, gamma_grid_indices(values.shape[1])]     # T x 10
     r0 = np.diagonal(_lag_product(sub, 0))
     if np.any(r0 <= 0.0):
         raise DegenerateDataError("zero variance at a probed grid point")
     denom = np.sqrt(np.outer(r0, r0))
     threshold = C0 * math.sqrt(math.log10(T) / T)
-
-    q_cap = T - K_T - 1
-    if q_cap < 0:
-        raise DomainError(f"series too short for the K_T = {K_T} window")
 
     # ok[m] flags the pairs with |rhohat_m| below the threshold; shift q passes
     # when ok holds on every lag of its window, m = q + window_start .. q + K_T.
@@ -162,30 +140,14 @@ def _search(values: np.ndarray, C0: float = 2.0, aggregation: str = "mean",
             break
         max_lag = min(T - 1, 2 * max_lag)
 
-    truncated = not found.all()
-    q_grid = np.where(found, passes.argmax(axis=0), q_cap)
-    return {
-        "q_hat": _aggregate(q_grid, aggregation),
-        "q_grid": q_grid,
-        "C0": float(C0),
-        "K_T": K_T,
-        "aggregation": aggregation,
-        "threshold": threshold,
-        "window_start": window_start,
-        "truncated": truncated,
-    }
+    q_grid = np.where(found, passes.argmax(axis=0), T - K_T - 1)
+    q_hat = (int(q_grid.max()) if aggregation == "max"
+             else int(math.ceil(q_grid.mean())))
+    return BandwidthReport(q_hat=q_hat, q_grid=q_grid, B_T=_bandwidth_from_q(q_hat, c_ef),
+                           c_ef=c_ef, C0=float(C0), K_T=K_T, aggregation=aggregation,
+                           threshold=threshold, window_start=window_start,
+                           truncated=not found.all())
 
 
 def report_to_json_dict(report: BandwidthReport) -> dict:
-    return {
-        "q_hat": report.q_hat,
-        "q_grid": report.q_grid.tolist(),
-        "B_T": report.B_T,
-        "c_ef": report.c_ef,
-        "C0": report.C0,
-        "K_T": report.K_T,
-        "aggregation": report.aggregation,
-        "threshold": report.threshold,
-        "window_start": report.window_start,
-        "truncated": report.truncated,
-    }
+    return {**asdict(report), "q_grid": report.q_grid.tolist()}

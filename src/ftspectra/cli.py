@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bandwidth import report_to_json_dict, select_bandwidth
+from .bandwidth import gamma_grid_indices, report_to_json_dict, select_bandwidth
 from .core import (
     DegenerateDataError,
     DimensionError,
@@ -43,7 +43,7 @@ from .sim import (
     generate_fma1,
     make_fma1_model,
     parse_bandwidth_mode,
-    resolve_bandwidth,
+    resolve_bandwidths,
     rows_to_csv,
     rows_to_json,
     imse_experiment,
@@ -193,7 +193,7 @@ def cmd_estimate(args) -> int:
     frequencies = (None if args.frequencies is None
                    else _parse_list(args.frequencies, float, "frequency"))
     mode = parse_bandwidth_mode(args.bandwidth)
-    bandwidth = resolve_bandwidth(mode, series, spec)
+    bandwidth, = resolve_bandwidths(mode, series, (spec,))
     if args.method == "lagwindow":
         est = estimate_lagwindow(series, spec, bandwidth, frequencies)
     else:
@@ -259,8 +259,6 @@ def _write_traces(out_dir, config: ImseConfig) -> None:
     """Plot-ready diagonal traces |fhat(tau, tau)| over a dense frequency grid
     for one seeded replication at the largest benchmark T, one file per
     kernel spec, plus the matching exact spectrum in trace_truth.csv."""
-    from .bandwidth import gamma_grid_indices
-
     T = max(config.T_list)
     model = make_fma1_model(config.seed, d=config.d)
     series = generate_fma1(model, T)

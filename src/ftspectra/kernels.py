@@ -304,13 +304,18 @@ def kernel_moment(spec: FlatTopSpec, k: int, truncation: float = 200.0) -> float
 # ---------------------------------------------------------------------------
 
 def spec_from_json_dict(obj: dict) -> FlatTopSpec:
+    """Read {"family", "c", "b"}; c and b are optional and must be JSON
+    numbers (not bools or strings)."""
+    def number(key):
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{key} must be a number, got {value!r}")
+        return float(value)
+
     try:
         family = KernelFamily(obj["family"])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad kernel JSON: {exc}") from exc
-    try:
-        kwargs = {key: float(obj[key]) for key in ("c", "b") if key in obj}
-    except (TypeError, ValueError) as exc:
+        kwargs = {key: number(key) for key in ("c", "b") if key in obj}
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad kernel JSON: {exc}") from exc
     return FlatTopSpec(family, **kwargs)
 

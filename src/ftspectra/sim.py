@@ -24,16 +24,14 @@ from .core import (
     Grid,
     SpectralEstimate,
     center,
-    check_frequencies,
     hermitize,
     hs_distance,
     write_csv,
     write_json,
     _readonly,
 )
-from .bandwidth import _bandwidth_from_q, _search, select_bandwidth
+from .bandwidth import _bandwidth_from_q, select_bandwidth
 from .estimator import (
-    DEFAULT_FREQUENCIES,
     _frequencies,
     _smoothed_estimates,
     estimate_smoothed,  # not called here; perfbench's traced runs wrap sim.estimate_smoothed
@@ -162,8 +160,7 @@ def true_spectrum(model: Fma1Model, frequencies=None) -> SpectralEstimate:
     as a SpectralEstimate with bandwidth 0.0 (no smoothing), kernel_id
     "truth" and method "closed-form", so it carries the checks of every
     estimate."""
-    frequencies = check_frequencies(
-        DEFAULT_FREQUENCIES if frequencies is None else frequencies)
+    frequencies = _frequencies(frequencies)
     psi = basis_matrix(model.grid, model.n_basis)
     kernels = []
     for w in frequencies:
@@ -252,11 +249,13 @@ class ImseRow:
 
 def parse_bandwidth_mode(mode):
     """A bandwidth mode: 'auto', 'rate' or '2rate' as given, or an explicit
-    bandwidth in (0, 1], given as a number or as text, as a float.
-    DomainError on anything else."""
+    bandwidth in (0, 1], given as a number (not a bool) or as text, as a
+    float. DomainError on anything else."""
     if mode in ("auto", "rate", "2rate"):
         return mode
     try:
+        if isinstance(mode, bool):
+            raise TypeError("a bool is not a bandwidth")
         value = float(mode)
     except (TypeError, ValueError) as exc:
         raise DomainError(
@@ -265,43 +264,39 @@ def parse_bandwidth_mode(mode):
     return check_bandwidth(value)
 
 
-def resolve_bandwidth(mode, series: FunctionalSeries, spec) -> float:
-    """Map a parsed bandwidth mode to a value for a series of T curves: the
-    T^(-1/5) rate, twice the rate, the empirical rule (which refuses a spec
-    that is not flat-top), or the explicit number."""
+def resolve_bandwidths(mode, series: FunctionalSeries, specs) -> list:
+    """Map a parsed bandwidth mode to one bandwidth per spec, in spec order,
+    for a series of T curves: the T^(-1/5) rate, twice the rate, the
+    explicit number, or the empirical rule. Under 'auto' one select_bandwidth
+    search serves every spec, since only the effective flat-top radius c_ef
+    depends on the spec; every c_ef is found before the search, so a spec
+    without one (the Epanechnikov baseline) is refused first."""
+    if mode == "auto":
+        if not specs:
+            return []
+        c_efs = [effective_flat_top_radius(spec) for spec in specs[1:]]
+        report = select_bandwidth(series, specs[0])
+        return [report.B_T] + [_bandwidth_from_q(report.q_hat, c_ef) for c_ef in c_efs]
     T = series.n_curves
     if mode == "rate":
-        return T ** (-0.2)
-    if mode == "2rate":
-        return check_bandwidth(2.0 * T ** (-0.2))
-    if mode == "auto":
-        return select_bandwidth(series, spec).B_T
-    return float(mode)
-
-
-def _bandwidths(mode, centered: FunctionalSeries, specs) -> list:
-    """resolve_bandwidth for each spec, given the centered series. Under
-    'auto' one correlogram search serves every spec, since only the
-    effective flat-top radius c_ef depends on the spec; every c_ef is found
-    first, so a spec without one is refused before the search."""
-    if mode != "auto":
-        return [resolve_bandwidth(mode, centered, spec) for spec in specs]
-    c_efs = [effective_flat_top_radius(spec) for spec in specs]
-    q_hat = _search(centered.values)["q_hat"]
-    return [_bandwidth_from_q(q_hat, c_ef) for c_ef in c_efs]
+        bandwidth = T ** (-0.2)
+    elif mode == "2rate":
+        bandwidth = check_bandwidth(2.0 * T ** (-0.2))
+    else:
+        bandwidth = float(mode)
+    return [bandwidth] * len(specs)
 
 
 def _estimates(config: ImseConfig, series: FunctionalSeries, frequencies=None):
     """The smoothed estimate of the series for each kernel spec of the
     config, in spec order, at the bandwidth the config's mode gives it; each
-    equal to estimate_smoothed's, bit for bit. The series is centered once
-    and every bandwidth resolved here, before any estimate is made, so a
-    refused bandwidth fails first; the estimates, yielded one at a time,
-    share one lag stack."""
+    equal to estimate_smoothed's, bit for bit. Every bandwidth is resolved
+    here, before any estimate is made, so a refused bandwidth fails first;
+    the series is then centered once, and the estimates, yielded one at a
+    time, share one lag stack."""
     frequencies = _frequencies(frequencies)
-    centered = center(series)
-    bandwidths = _bandwidths(config.bandwidth_mode, centered, config.kernel_specs)
-    return _smoothed_estimates(centered.values, config.kernel_specs, bandwidths,
+    bandwidths = resolve_bandwidths(config.bandwidth_mode, series, config.kernel_specs)
+    return _smoothed_estimates(center(series).values, config.kernel_specs, bandwidths,
                                frequencies)
 
 

@@ -136,16 +136,16 @@ class TestSelectBandwidth:
         assert report.B_T <= 0.5
 
     def test_fallback_truncates(self):
-        # alternating curves keep every short-window lag significant up to the
-        # largest testable shift once the window is widened
+        # alternating curves keep every lag significant against a tiny
+        # threshold, so no shift up to the largest testable one passes
         T = 16
         v = np.linspace(1.0, 2.0, 12)
         vals = np.outer((-1.0) ** np.arange(T), v)
         s = FunctionalSeries(Grid(12), vals)
-        report = select_bandwidth(s, trapezoid(), K_T=9)
+        report = select_bandwidth(s, trapezoid(), C0=1e-6)
         assert report.truncated
-        assert report.q_hat == T - 9 - 1
-        assert np.all(report.q_grid == T - 9 - 1)
+        assert report.q_hat == T - report.K_T - 1 == 10
+        assert np.all(report.q_grid == T - report.K_T - 1)
 
     @pytest.mark.parametrize("window_start", [0, 1])
     def test_window_doubling_matches_brute_force(self, window_start):
@@ -191,6 +191,14 @@ class TestSelectBandwidth:
         with pytest.raises(UnsupportedKernelError):
             select_bandwidth(fma_series, epanechnikov())
 
+    def test_bad_aggregation_refused_before_the_search(self, fma_series, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the shift search ran for a bad aggregation")
+
+        monkeypatch.setattr(bandwidth, "_autocovariance_stack", no_search)
+        with pytest.raises(DomainError):
+            select_bandwidth(fma_series, trapezoid(), aggregation="median")
+
     def test_rejects_bad_options(self, fma_series):
         with pytest.raises(DomainError):
             select_bandwidth(fma_series, trapezoid(), aggregation="median")
@@ -199,8 +207,6 @@ class TestSelectBandwidth:
         for C0 in (0.0, np.nan, np.inf):
             with pytest.raises(DomainError):
                 select_bandwidth(fma_series, trapezoid(), C0=C0)
-        with pytest.raises(DomainError):
-            select_bandwidth(fma_series, trapezoid(), K_T=-1)
 
 
 class TestRuleMonotonicity:

@@ -209,6 +209,8 @@ class TestExitCodes:
         ["estimate", "--kernel", '{{"family":"PR","c":NaN}}'],
         ["estimate", "--kernel", '{{"family":"ID","b":NaN}}'],
         ["estimate", "--kernel", '{{"family":"ID","b":1e400}}'],
+        ["estimate", "--kernel", '{{"family":"PR","c":true}}'],
+        ["estimate", "--kernel", '{{"family":"TR","c":"0.4"}}'],
         ["estimate", "--psd", "definite", "--eps", "nan"],
         ["estimate", "--psd", "definite", "--eps", "inf"],
         ["bandwidth", "--C0", "nan"],
@@ -218,6 +220,7 @@ class TestExitCodes:
         ["estimate", "--kernel", "TR", "--frequencies", "inf"],
     ], ids=["simulate-T1", "bench-2rate-above-1", "bench-parallel-0", "kernel-c-null",
             "kernel-c-overflow", "kernel-c-nan", "kernel-b-nan", "kernel-b-overflow",
+            "kernel-c-bool", "kernel-c-string",
             "eps-nan", "eps-inf", "C0-nan", "C0-inf", "EPA-frequency-inf",
             "EPA-frequency-nan", "TR-frequency-inf"])
     def test_out_of_range_parameter_is_config_error(self, tmp_path, data_csv, args):

@@ -32,7 +32,7 @@ from ftspectra.sim import (
     imse_frequency_weights,
     innovation_variances,
     parse_bandwidth_mode,
-    resolve_bandwidth,
+    resolve_bandwidths,
 )
 
 
@@ -253,7 +253,8 @@ class TestImseExperiment:
         assert parse_bandwidth_mode(mode) == parsed
         assert ImseConfig(bandwidth_mode=mode).bandwidth_mode == parsed
 
-    @pytest.mark.parametrize("mode", ["bogus", "RATE", "0", "1.5", "nan", None, 5.0])
+    @pytest.mark.parametrize("mode", ["bogus", "RATE", "0", "1.5", "nan", None, 5.0,
+                                      True, False])
     def test_bad_bandwidth_mode_rejected(self, mode):
         with pytest.raises(DomainError):
             parse_bandwidth_mode(mode)
@@ -264,7 +265,7 @@ class TestImseExperiment:
         with pytest.raises(DomainError):
             ImseConfig(n_jobs=0)
         with pytest.raises(DomainError):  # 2 * 16^(-1/5) > 1
-            resolve_bandwidth("2rate", generate_fma1(model, 16), trapezoid())
+            resolve_bandwidths("2rate", generate_fma1(model, 16), (trapezoid(),))
 
     def test_repeated_kernel_spec_rejected(self):
         with pytest.raises(DomainError, match=r"share the identifier TR\(c=0.5\)"):
@@ -361,8 +362,8 @@ class TestSharedReplicationWork:
         shared = list(sim._estimates(config, series, frequencies))
         assert len(shared) == len(specs)
         for spec, est in zip(specs, shared):
-            one = estimate_smoothed(series, spec, resolve_bandwidth(mode, series, spec),
-                                    frequencies)
+            bandwidth, = resolve_bandwidths(mode, series, (spec,))
+            one = estimate_smoothed(series, spec, bandwidth, frequencies)
             assert (est.kernel_id, est.bandwidth, est.method) == \
                 (one.kernel_id, one.bandwidth, one.method)
             assert np.array_equal(est.frequencies, one.frequencies)
