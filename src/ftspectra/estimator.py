@@ -22,7 +22,6 @@ from .core import (
 )
 from .kernels import (
     FlatTopSpec,
-    KernelFamily,
     UnsupportedKernelError,
     baseline_weight,
     check_bandwidth,
@@ -108,15 +107,6 @@ def _flat_top_lags(spec, bandwidth, T: int, circular: bool) -> np.ndarray:
     return lam[: int(np.flatnonzero(lam)[-1]) + 1]
 
 
-def _flat_top_core(stack, lam, spec, bandwidth, frequencies, method) -> SpectralEstimate:
-    """Flat-top estimate from a lag stack that holds at least the lags
-    0..L of lam."""
-    matrices = _lag_sum(stack[: lam.size], lam, frequencies)
-    kernels = tuple(FrequencyKernel(m) for m in matrices)
-    return SpectralEstimate(frequencies, kernels, float(bandwidth),
-                            spec.identifier, method)
-
-
 def _baseline_core(F, bandwidth, frequencies) -> SpectralEstimate:
     """Epanechnikov-weighted periodogram average from the T x d fDFT F of the
     centered series. The baseline weight has no finite lag form, so the
@@ -143,22 +133,30 @@ def _baseline_core(F, bandwidth, frequencies) -> SpectralEstimate:
                             METHOD_SMOOTHED)
 
 
-def _smoothed_estimates(values, specs, bandwidths, frequencies):
-    """An iterator over estimate_smoothed of the centered T x d values for
-    each spec at its bandwidth. The specs share the work, done here: the
-    flat-top ones contract one circular lag stack built at their largest lag
-    count, the baselines one fDFT. Lag u of a stack is the same lag product
-    however many lags the stack holds, so each estimate is the one-spec
-    estimate bit for bit. The iterator holds the stack and the fDFT, not the
-    values, and makes one estimate at a time."""
+def _estimate_specs(values, specs, bandwidths, frequencies, method):
+    """An iterator over the estimates of the centered T x d values by the
+    method, estimate_smoothed's or estimate_lagwindow's, for each spec at its
+    bandwidth. The specs share the work, done here: the flat-top ones
+    contract one lag stack, circular for the smoothed periodogram and linear
+    for the lag window, built at their largest lag count; the baselines one
+    fDFT. The lag window refuses a baseline before any of it. Lag u of a
+    stack is the same lag product however many lags the stack holds, so each
+    estimate is the one-spec estimate bit for bit. The iterator holds the
+    stack and the fDFT, not the values, and makes one estimate at a time."""
     T = values.shape[0]
-    lams = [_flat_top_lags(spec, bandwidth, T, circular=True) if spec.is_flat_top
-            else None for spec, bandwidth in zip(specs, bandwidths)]
+    circular = method == METHOD_SMOOTHED
+    if not circular and not all(spec.is_flat_top for spec in specs):
+        raise UnsupportedKernelError("the Epanechnikov baseline has no lag-window form")
+    lams = [_flat_top_lags(spec, bandwidth, T, circular) if spec.is_flat_top else None
+            for spec, bandwidth in zip(specs, bandwidths)]
     sizes = [lam.size for lam in lams if lam is not None]
-    stack = _autocovariance_stack(values, max(sizes) - 1, circular=True) if sizes else None
+    stack = _autocovariance_stack(values, max(sizes) - 1, circular) if sizes else None
     F = _fdft(values) if any(lam is None for lam in lams) else None
     return (_baseline_core(F, bandwidth, frequencies) if lam is None
-            else _flat_top_core(stack, lam, spec, bandwidth, frequencies, METHOD_SMOOTHED)
+            else SpectralEstimate(
+                frequencies,
+                map(FrequencyKernel, _lag_sum(stack[: lam.size], lam, frequencies)),
+                float(bandwidth), spec.identifier, method)
             for spec, bandwidth, lam in zip(specs, bandwidths, lams))
 
 
@@ -179,8 +177,8 @@ def estimate_smoothed(series: FunctionalSeries, spec: FlatTopSpec,
     |omega - 2*pi*s/T| <= B (mod 2*pi), where it is nonzero.
     """
     frequencies = _frequencies(frequencies)
-    return next(_smoothed_estimates(center(series).values, (spec,), (bandwidth,),
-                                    frequencies))
+    return next(_estimate_specs(center(series).values, (spec,), (bandwidth,),
+                                frequencies, METHOD_SMOOTHED))
 
 
 def estimate_lagwindow(series: FunctionalSeries, spec: FlatTopSpec,
@@ -192,9 +190,6 @@ def estimate_lagwindow(series: FunctionalSeries, spec: FlatTopSpec,
     it; all dropped terms are exactly zero. Flat-top specs only: the baseline
     has no taper form.
     """
-    if spec.family is KernelFamily.EPANECHNIKOV:
-        raise UnsupportedKernelError("the Epanechnikov baseline has no lag-window form")
     frequencies = _frequencies(frequencies)
-    lam = _flat_top_lags(spec, bandwidth, series.n_curves, circular=False)
-    stack = _autocovariance_stack(center(series).values, lam.size - 1, circular=False)
-    return _flat_top_core(stack, lam, spec, bandwidth, frequencies, METHOD_LAG_WINDOW)
+    return next(_estimate_specs(center(series).values, (spec,), (bandwidth,),
+                                frequencies, METHOD_LAG_WINDOW))

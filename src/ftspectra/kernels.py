@@ -268,8 +268,6 @@ def effective_flat_top_radius(spec: FlatTopSpec) -> float:
     _require_flat_top(spec, "the effective flat-top radius")
     target = 1.0 - EPSILON_EF
     lo, hi = spec.c, support_radius(spec)
-    if lambda_eval(spec, hi) >= target:  # cannot happen for these families
-        return hi
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if lambda_eval(spec, mid) >= target:

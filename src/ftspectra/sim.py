@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
-    TWO_PI,
     DimensionError,
     DomainError,
     FrequencyKernel,
@@ -24,7 +23,6 @@ from .core import (
     Grid,
     SpectralEstimate,
     center,
-    hermitize,
     hs_distance,
     write_csv,
     write_json,
@@ -32,8 +30,10 @@ from .core import (
 )
 from .bandwidth import _bandwidth_from_q, select_bandwidth
 from .estimator import (
+    METHOD_SMOOTHED,
+    _estimate_specs,
     _frequencies,
-    _smoothed_estimates,
+    _lag_sum,
     estimate_smoothed,  # not called here; perfbench's traced runs wrap sim.estimate_smoothed
 )
 from .kernels import (
@@ -66,56 +66,39 @@ DEFAULT_KERNELS = (epanechnikov(), trapezoid(), flat_top_parzen(),
 N_BASIS = 50
 N_INNOV = 100
 
+#: Coordinate variances eta_k = 1/((k - 1/2)^2 pi^2), k = 1..N_INNOV, of the
+#: Brownian innovation expansion, strictly decreasing; read-only.
+ETA = _readonly(1.0 / ((np.arange(1, N_INNOV + 1) - 0.5) ** 2 * np.pi**2))
 
-def basis_matrix(grid: Grid, n_basis: int) -> np.ndarray:
-    """d x n matrix of the orthonormal sine system sqrt(2)*sin((m-1/2)*pi*tau)
-    on the grid; exactly orthonormal under the midpoint 1/d quadrature."""
-    m = np.arange(1, n_basis + 1)
+
+def basis_matrix(grid: Grid) -> np.ndarray:
+    """d x N_BASIS matrix of the orthonormal sine system
+    sqrt(2)*sin((m-1/2)*pi*tau) on the grid; exactly orthonormal under the
+    midpoint 1/d quadrature."""
+    m = np.arange(1, N_BASIS + 1)
     return np.sqrt(2.0) * np.sin(np.outer(grid.points, (m - 0.5) * np.pi))
-
-
-def innovation_variances(n_innov: int) -> np.ndarray:
-    """Coordinate variances eta_k = 1/((k - 1/2)^2 pi^2) of the Brownian
-    innovation expansion, strictly decreasing."""
-    k = np.arange(1, n_innov + 1)
-    return 1.0 / ((k - 0.5) ** 2 * np.pi**2)
 
 
 @dataclass(frozen=True)
 class Fma1Model:
     """First-order functional moving average: coefficient operators a0, a1
-    (n_basis x n_innov), innovation coordinate variances eta, simulation grid,
-    and the seed the model was drawn from."""
+    (N_BASIS x N_INNOV, acting on innovations with coordinate variances ETA),
+    simulation grid, and the seed the model was drawn from."""
 
     a0: np.ndarray
     a1: np.ndarray
-    eta: np.ndarray
     grid: Grid
     seed: int | None = None
 
     def __post_init__(self):
-        a0 = np.asarray(self.a0, dtype=float)
-        a1 = np.asarray(self.a1, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        if a0.shape != a1.shape or a0.ndim != 2:
-            raise DomainError("a0 and a1 must be matrices of identical shape")
-        if eta.shape != (a0.shape[1],):
-            raise DomainError("eta length must match the operator column count")
-        if not (np.all(np.isfinite(a0)) and np.all(np.isfinite(a1))):
-            raise DomainError("operators contain non-finite entries")
-        if np.any(eta <= 0.0) or np.any(np.diff(eta) >= 0.0):
-            raise DomainError("eta must be positive and strictly decreasing")
-        object.__setattr__(self, "a0", _readonly(a0))
-        object.__setattr__(self, "a1", _readonly(a1))
-        object.__setattr__(self, "eta", _readonly(eta))
-
-    @property
-    def n_basis(self) -> int:
-        return self.a0.shape[0]
-
-    @property
-    def n_innov(self) -> int:
-        return self.a0.shape[1]
+        for name in ("a0", "a1"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.shape != (N_BASIS, N_INNOV):
+                raise DomainError(f"{name} must be a {N_BASIS} x {N_INNOV} matrix, "
+                                  f"got shape {a.shape}")
+            if not np.all(np.isfinite(a)):
+                raise DomainError(f"{name} contains non-finite entries")
+            object.__setattr__(self, name, _readonly(a))
 
 
 def _draw_operators(rng: np.random.Generator):
@@ -130,7 +113,7 @@ def make_fma1_model(seed: int, d: int = 100) -> Fma1Model:
     """Draw random coefficient operators from the seed and assemble a model."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     a0, a1 = _draw_operators(rng)
-    return Fma1Model(a0, a1, innovation_variances(N_INNOV), Grid(d), seed=seed)
+    return Fma1Model(a0, a1, Grid(d), seed=seed)
 
 
 def generate_fma1(model: Fma1Model, T: int,
@@ -138,7 +121,7 @@ def generate_fma1(model: Fma1Model, T: int,
     """Simulate T curves from the model.
 
     Innovation coordinate vectors for t = -1..T-1 are independent centered
-    Gaussians with variances eta; curve t is (A0 eps_t + A1 eps_{t-1}) mapped
+    Gaussians with variances ETA; curve t is (A0 eps_t + A1 eps_{t-1}) mapped
     through the sine basis. Reproducible: the default generator derives from
     the model seed.
     """
@@ -148,26 +131,27 @@ def generate_fma1(model: Fma1Model, T: int,
         if model.seed is None:
             raise DomainError("model has no seed; pass an explicit generator")
         rng = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(2)[1])
-    eps = rng.standard_normal((T + 1, model.n_innov)) * np.sqrt(model.eta)
+    eps = rng.standard_normal((T + 1, N_INNOV)) * np.sqrt(ETA)
     coef = eps[1:] @ model.a0.T + eps[:-1] @ model.a1.T
-    psi = basis_matrix(model.grid, model.n_basis)
+    psi = basis_matrix(model.grid)
     return FunctionalSeries(model.grid, coef @ psi.T)
 
 
 def true_spectrum(model: Fma1Model, frequencies=None) -> SpectralEstimate:
-    """Closed-form spectral density of the model on its grid:
-    f_omega = (1/(2*pi)) * Psi (A0 + e^{-i w} A1) diag(eta) (...)^H Psi^T,
-    as a SpectralEstimate with bandwidth 0.0 (no smoothing), kernel_id
-    "truth" and method "closed-form", so it carries the checks of every
-    estimate."""
+    """Closed-form spectral density of the model on its grid,
+    f_omega = (1/(2*pi)) * Psi (A0 + e^{-i w} A1) diag(ETA) (...)^H Psi^T,
+    evaluated as the estimators' lag sum over its only nonzero
+    autocovariance kernels
+    C_0 = Psi (A0 diag(ETA) A0^T + A1 diag(ETA) A1^T) Psi^T and
+    C_1 = Psi A1 diag(ETA) A0^T Psi^T (C_-1 = C_1^T). Returned as a
+    SpectralEstimate with bandwidth 0.0 (no smoothing), kernel_id "truth"
+    and method "closed-form", so it carries the checks of every estimate."""
     frequencies = _frequencies(frequencies)
-    psi = basis_matrix(model.grid, model.n_basis)
-    kernels = []
-    for w in frequencies:
-        aw = model.a0 + np.exp(-1j * w) * model.a1
-        f_coef = (aw * model.eta) @ aw.conj().T / TWO_PI
-        m = psi @ f_coef @ psi.T
-        kernels.append(FrequencyKernel(hermitize(m)))
+    psi = basis_matrix(model.grid)
+    b0, b1 = psi @ model.a0, psi @ model.a1
+    c0 = (b0 * ETA) @ b0.T + (b1 * ETA) @ b1.T
+    c1 = (b1 * ETA) @ b0.T
+    kernels = map(FrequencyKernel, _lag_sum(np.stack([c0, c1]), np.ones(2), frequencies))
     return SpectralEstimate(frequencies, kernels, 0.0, "truth", "closed-form")
 
 
@@ -296,8 +280,8 @@ def _estimates(config: ImseConfig, series: FunctionalSeries, frequencies=None):
     time, share one lag stack."""
     frequencies = _frequencies(frequencies)
     bandwidths = resolve_bandwidths(config.bandwidth_mode, series, config.kernel_specs)
-    return _smoothed_estimates(center(series).values, config.kernel_specs, bandwidths,
-                               frequencies)
+    return _estimate_specs(center(series).values, config.kernel_specs, bandwidths,
+                           frequencies, METHOD_SMOOTHED)
 
 
 def _run_replication(config: ImseConfig, task) -> list:
@@ -307,7 +291,7 @@ def _run_replication(config: ImseConfig, task) -> list:
     T, seed_ss, operators = task
     rng = np.random.default_rng(seed_ss)
     a0, a1 = _draw_operators(rng) if operators is None else operators
-    model = Fma1Model(a0, a1, innovation_variances(N_INNOV), Grid(config.d))
+    model = Fma1Model(a0, a1, Grid(config.d))
     series = generate_fma1(model, T, rng=rng)
     truth = true_spectrum(model)
     return [imse_from_estimate(est, truth) for est in _estimates(config, series)]

@@ -18,6 +18,7 @@ from ftspectra import (
     hs_distance,
     hs_norm,
     infinitely_differentiable,
+    lambda_eval,
     make_fma1_model,
     trapezoid,
     weight_function,
@@ -274,6 +275,32 @@ class TestLagWindowEstimator:
         assert est.kernel_id == "PR(c=0.75)"
         assert np.array_equal(est.frequencies, DEFAULT_FREQUENCIES)
 
+    def test_baseline_refused_before_any_work(self, fma_series, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the lag window worked on a baseline spec")
+
+        monkeypatch.setattr(estimator, "_autocovariance_stack", no_work)
+        monkeypatch.setattr(estimator, "_fdft", no_work)
+        with pytest.raises(UnsupportedKernelError):
+            estimate_lagwindow(fma_series, epanechnikov(), 0.3)
+
+    @pytest.mark.parametrize("spec", FLAT_TOPS, ids=IDS)
+    @pytest.mark.parametrize("T, B", [(512, 512 ** (-0.2)), (16, 0.05), (64, 1.0)],
+                             ids=["rate", "L-beyond-T", "B-one"])
+    def test_matches_the_direct_lag_sum(self, spec, T, B):
+        # (1/(2 pi)) sum_{|u|<T} lam(B u) rhat_u e^{-i omega u}, term by term;
+        # at B = 0.05 and T = 16 the support runs past the last lag T - 1.
+        # Scaled by the largest entry over all frequencies: a centered series
+        # has a vanishing omega = 0 term.
+        s = generate_fma1(make_fma1_model(7, d=6), T)
+        est = estimate_lagwindow(s, spec, B)
+        lags = np.arange(-(T - 1), T)
+        terms = [lambda_eval(spec, B * u) * autocovariance(s, u) for u in lags]
+        direct = np.array([sum(np.exp(-1j * w * u) * c for u, c in zip(lags, terms))
+                           for w in est.frequencies]) / (2 * np.pi)
+        got = np.array([k.matrix for k in est.kernels])
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
 
 @pytest.mark.parametrize("estimate, spec", [(estimate_smoothed, trapezoid()),
                                             (estimate_smoothed, epanechnikov()),
@@ -287,6 +314,6 @@ def test_frequencies_checked_before_any_work(fma_series, monkeypatch, estimate, 
         raise AssertionError("the estimator ran before checking its frequencies")
 
     monkeypatch.setattr(estimator, "_autocovariance_stack", no_work)
-    monkeypatch.setattr(estimator, "fdft_all", no_work)
+    monkeypatch.setattr(estimator, "_fdft", no_work)
     with pytest.raises(DomainError):
         estimate(fma_series, spec, 0.5, frequencies)

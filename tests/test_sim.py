@@ -30,7 +30,6 @@ from ftspectra import bandwidth as ftbandwidth
 from ftspectra.sim import (
     basis_matrix,
     imse_frequency_weights,
-    innovation_variances,
     parse_bandwidth_mode,
     resolve_bandwidths,
 )
@@ -54,10 +53,11 @@ def estimate_and_truth(frequencies):
 
 class TestModel:
     def test_innovation_variances(self):
-        eta = innovation_variances(100)
+        eta = sim.ETA
         assert eta.shape == (100,)
         assert eta[0] == pytest.approx(1.0 / (0.25 * np.pi**2))
         assert np.all(eta > 0) and np.all(np.diff(eta) < 0)
+        assert not eta.flags.writeable
 
     def test_operator_shapes_and_seed(self, model):
         assert model.a0.shape == (50, 100)
@@ -75,15 +75,17 @@ class TestModel:
 
     def test_basis_orthonormal_on_grid(self):
         for d in (50, 100):
-            psi = basis_matrix(Grid(d), 50)
+            psi = basis_matrix(Grid(d))
             gram = psi.T @ psi / d
             assert np.max(np.abs(gram - np.eye(50))) < 1e-12
 
     def test_validation(self, model):
         with pytest.raises(Exception):
-            Fma1Model(model.a0, model.a1[:, :50], model.eta, model.grid)
-        with pytest.raises(Exception):
-            Fma1Model(model.a0, model.a1, np.ones(100), model.grid)
+            Fma1Model(model.a0, model.a1[:, :50], model.grid)
+        broken = model.a1.copy()
+        broken[3, 7] = np.nan
+        with pytest.raises(DomainError):
+            Fma1Model(model.a0, broken, model.grid)
 
 
 class TestGenerate:
@@ -124,8 +126,8 @@ class TestGenerate:
     def test_lag_zero_matches_analytic_moment(self, model):
         # MC mean of rhat_0 against A0 C A0' + A1 C A1' mapped to the grid,
         # on a 5 x 5 sub-grid, within 3 MC standard errors entrywise
-        psi = basis_matrix(model.grid, 50)
-        r0_coef = (model.a0 * model.eta) @ model.a0.T + (model.a1 * model.eta) @ model.a1.T
+        psi = basis_matrix(model.grid)
+        r0_coef = (model.a0 * sim.ETA) @ model.a0.T + (model.a1 * sim.ETA) @ model.a1.T
         truth = (psi @ r0_coef @ psi.T)[np.ix_(range(0, 40, 8), range(0, 40, 8))]
         reps, T = 200, 512
         draws = []
@@ -167,21 +169,21 @@ class TestTrueSpectrum:
     def test_white_noise_constant_in_omega(self, model):
         iid = zero_ma(model)
         ts = true_spectrum(iid, np.array([0.1, 1.0, 2.5]))
-        psi = basis_matrix(iid.grid, 50)
-        expected = psi @ ((iid.a0 * iid.eta) @ iid.a0.T) @ psi.T / (2 * np.pi)
+        psi = basis_matrix(iid.grid)
+        expected = psi @ ((iid.a0 * sim.ETA) @ iid.a0.T) @ psi.T / (2 * np.pi)
         for k in ts.kernels:
             assert np.max(np.abs(k.matrix - expected)) < 1e-12 * np.max(np.abs(expected))
 
     def test_three_term_autocovariance_form(self, model):
-        psi = basis_matrix(model.grid, 50)
-        c = np.diag(model.eta)
-        r0 = model.a0 @ c @ model.a0.T + model.a1 @ c @ model.a1.T
-        r1 = model.a1 @ c @ model.a0.T
-        for w in (0.0, 0.7, np.pi / 2, 3.0):
-            direct = true_spectrum(model, np.array([w])).kernels[0].matrix
-            coef = (r0 + np.exp(-1j * w) * r1 + np.exp(1j * w) * r1.T) / (2 * np.pi)
-            alt = psi @ coef @ psi.T
-            assert np.max(np.abs(direct - alt)) < 1e-10 * np.max(np.abs(alt))
+        # the lag sum over C_0 and C_1 against the transfer-function form
+        # Psi (A0 + e^{-i w} A1) diag(eta) (...)^H Psi^T / (2 pi)
+        psi = basis_matrix(model.grid)
+        frequencies = np.array([0.0, 0.7, np.pi / 2, 3.0])
+        ts = true_spectrum(model, frequencies)
+        for w, k in zip(frequencies, ts.kernels):
+            aw = model.a0 + np.exp(-1j * w) * model.a1
+            direct = psi @ ((aw * sim.ETA) @ aw.conj().T) @ psi.T / (2 * np.pi)
+            assert np.max(np.abs(k.matrix - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_zero_frequency_real_psd(self, model):
         k = true_spectrum(model, np.array([0.0])).kernels[0]
@@ -200,8 +202,8 @@ class TestTrueSpectrum:
         # by conjugate symmetry, 2 * Re(int over [0, pi]) - f_pi-term handling
         # is done on the full circle directly
         grid_w = np.linspace(0.0, 2.0 * np.pi, 801)[:-1]
-        psi = basis_matrix(model.grid, 50)
-        c = np.diag(model.eta)
+        psi = basis_matrix(model.grid)
+        c = np.diag(sim.ETA)
         r0_true = psi @ (model.a0 @ c @ model.a0.T + model.a1 @ c @ model.a1.T) @ psi.T
         acc = np.zeros_like(r0_true, dtype=complex)
         ts = true_spectrum(model, grid_w)
