@@ -170,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--d", type=int, default=50)
     p_bench.add_argument("--fixed-operators", action="store_true",
                          help="share one operator draw across all replications")
-    p_bench.add_argument("--full", action="store_true",
-                         help="full-scale run: 200 replications, T up to 2048")
     p_bench.add_argument("--parallel", type=int, default=1,
                          help="worker processes for the replications (>= 1)")
     p_bench.add_argument("--out-dir", required=True)
@@ -231,16 +229,10 @@ def cmd_bandwidth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    t_list = tuple(_parse_list(args.T_list, int, "T"))
-    replications = args.replications
-    if args.full:
-        t_list = (64, 128, 256, 512, 1024, 2048)
-        replications = max(replications, 200)
-    specs = _parse_list(args.kernels, parse_kernel, "kernel")
     config = ImseConfig(
-        T_list=t_list,
-        n_runs=replications,
-        kernel_specs=tuple(specs),
+        T_list=tuple(_parse_list(args.T_list, int, "T")),
+        n_runs=args.replications,
+        kernel_specs=tuple(_parse_list(args.kernels, parse_kernel, "kernel")),
         bandwidth_mode=args.bandwidth,
         seed=args.seed,
         d=args.d,

@@ -183,6 +183,9 @@ class SpectralEstimate:
             raise DimensionError(
                 f"{len(kernels)} kernels for {f.size} frequencies"
             )
+        shapes = {k.matrix.shape for k in kernels}
+        if len(shapes) > 1:
+            raise DimensionError(f"kernel shapes differ: {sorted(shapes)}")
         object.__setattr__(self, "frequencies", _readonly(f))
         object.__setattr__(self, "kernels", kernels)
 

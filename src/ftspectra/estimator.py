@@ -24,7 +24,6 @@ from .kernels import (
     FlatTopSpec,
     UnsupportedKernelError,
     baseline_weight,
-    check_bandwidth,
     lag_weights,
 )
 
@@ -109,25 +108,16 @@ def _flat_top_lags(spec, bandwidth, T: int, circular: bool) -> np.ndarray:
 
 def _baseline_core(F, bandwidth, frequencies) -> SpectralEstimate:
     """Epanechnikov-weighted periodogram average from the T x d fDFT F of the
-    centered series. The baseline weight has no finite lag form, so the
-    ordinates are summed directly, one frequency at a time, and only those
-    inside the weight's support |omega - omega_s| <= B (mod 2*pi): s from
-    ceil((omega - B) T / (2*pi)) - 1 to floor((omega + B) T / (2*pi)) + 1,
-    reduced mod T, without repeats and without s = 0. The one-ordinate margin
-    on each side leaves the support test to baseline_weight, so every nonzero
-    term of the full sum over s = 1..T-1 is kept."""
-    bandwidth = check_bandwidth(bandwidth)
+    centered series, the sum as written, (2*pi/T) * sum_{s=1}^{T-1}
+    W(omega - 2*pi*s/T) F_s F_s^H, over the terms with a nonzero weight."""
     T = F.shape[0]
-    F_conj = F.conj()
-    scale = TWO_PI / T
+    F, F_conj = F[1:], F[1:].conj()
+    omegas = TWO_PI * np.arange(1, T) / T
     kernels = []
     for w in frequencies:
-        s = np.arange(math.ceil((w - bandwidth) * T / TWO_PI) - 1,
-                      math.floor((w + bandwidth) * T / TWO_PI) + 2)
-        s = np.unique(s % T)
-        s = s[s != 0]
-        weights = baseline_weight(bandwidth, w - TWO_PI * s / T)
-        m = scale * ((F[s].T * weights) @ F_conj[s])
+        weights = baseline_weight(bandwidth, w - omegas)
+        s = np.flatnonzero(weights)
+        m = TWO_PI / T * ((F[s].T * weights[s]) @ F_conj[s])
         kernels.append(FrequencyKernel(hermitize(m)))
     return SpectralEstimate(frequencies, tuple(kernels), float(bandwidth), "EPA",
                             METHOD_SMOOTHED)
@@ -173,8 +163,8 @@ def estimate_smoothed(series: FunctionalSeries, spec: FlatTopSpec,
     over the circular autocovariances
     chat_u = (1/T) * sum_{t=0}^{T-1} X_{(t+u) mod T} X_t^T, for L >= T too.
     The Epanechnikov baseline has no finite lag form; its periodized weight
-    multiplies the ordinates directly, summing only those inside its support
-    |omega - 2*pi*s/T| <= B (mod 2*pi), where it is nonzero.
+    multiplies the ordinates directly, and the terms with a nonzero weight
+    are summed.
     """
     frequencies = _frequencies(frequencies)
     return next(_estimate_specs(center(series).values, (spec,), (bandwidth,),

@@ -250,15 +250,14 @@ def weight_function(spec: FlatTopSpec, bandwidth: float, x):
 
 def baseline_weight(bandwidth: float, x):
     """Periodized Epanechnikov weight sum_j (1/B) * W((x + 2*pi*j)/B) with
-    W(x) = 0.75 * (1 - x^2) on [-1, 1]."""
+    W(x) = 0.75 * (1 - x^2) on [-1, 1], evaluated at the one image nearest 0."""
     bandwidth = check_bandwidth(bandwidth)
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(x)
-    j0 = np.round(-x / (2.0 * np.pi))
-    for dj in (-1.0, 0.0, 1.0):
-        z = (x + 2.0 * np.pi * (j0 + dj)) / bandwidth
-        out += np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z**2), 0.0) / bandwidth
+    # the images sit 2*pi apart and each vanishes beyond B <= 1 < pi of its
+    # center, so only the image nearest 0 can be nonzero
+    z = (x + 2.0 * np.pi * np.round(-x / (2.0 * np.pi))) / bandwidth
+    out = np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z**2), 0.0) / bandwidth
     return float(out[0]) if scalar else out
 
 

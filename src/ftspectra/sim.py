@@ -211,7 +211,12 @@ class ImseConfig:
             raise DomainError(f"need at least two runs, got {self.n_runs}")
         if self.n_jobs < 1:
             raise DomainError(f"n_jobs must be at least 1, got {self.n_jobs}")
-        # one row and one trace per spec, labelled by its identifier
+        # one row per (spec, T) and one trace per spec, labelled by its identifier
+        if not self.T_list or not self.kernel_specs:
+            raise DomainError("need at least one T and one kernel spec")
+        for i, T in enumerate(self.T_list):
+            if T in self.T_list[:i]:
+                raise DomainError(f"T = {T} is given twice")
         identifiers = [spec.identifier for spec in self.kernel_specs]
         for i, identifier in enumerate(identifiers):
             if identifier in identifiers[:i]:

@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +19,11 @@ from ftspectra import (
     trapezoid,
     true_spectrum,
 )
+from ftspectra import cli
 from ftspectra.bandwidth import gamma_grid_indices
 from ftspectra.core import read_csv
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args, cwd=None):
@@ -249,7 +255,8 @@ class TestExitCodes:
         ["estimate", "--input", "{tmp}/in.csv", "--psd", "bogus", "--out", "{tmp}/x"],
         ["estimate", "--input", "{tmp}/in.csv"],
         ["simulate", "--T", "abc", "--out", "{tmp}/x.csv"],
-    ], ids=["bad-choice", "missing-required", "bad-int"])
+        ["bench", "--full", "--out-dir", "{tmp}/b"],
+    ], ids=["bad-choice", "missing-required", "bad-int", "bench-full-is-gone"])
     def test_bad_flag_is_config_error(self, tmp_path, args):
         res = run_cli(*(a.format(tmp=tmp_path) for a in args))
         assert res.returncode == 1
@@ -431,6 +438,15 @@ class TestBench:
         assert err["type"] == "DomainError" and "TR(c=0.5)" in err["message"]
         assert not out.exists()
 
+    def test_repeated_T_is_config_error(self, tmp_path):
+        out = tmp_path / "bench"
+        res = run_cli("bench", "--T-list", "64,64", "--replications", "2",
+                      "--kernels", "TR", "--out-dir", str(out))
+        assert res.returncode == 1
+        err = json.loads(res.stderr)["error"]
+        assert err["type"] == "DomainError" and "T = 64" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode, kernels", [("rate", "EPA,TR,PR,ID"),
                                                ("auto", "TR,PR,ID")])
     def test_trace_rows_are_the_library_estimates(self, tmp_path, mode, kernels):
@@ -455,3 +471,23 @@ class TestBench:
             want = [[w, *np.abs(np.diagonal(k.matrix))[idx]]
                     for w, k in zip(freqs, est.kernels)]
             assert np.array_equal(rows, np.array(want)), name
+
+
+class TestReadme:
+    """The README's examples run as written."""
+
+    blocks = re.findall(r"```(\w*)\n(.*?)```", README.read_text(), re.DOTALL)
+
+    def test_every_command_parses(self):
+        commands = [line for _, block in self.blocks
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("ftspectra ")]
+        parsed = [cli.build_parser().parse_args(shlex.split(line)[1:]) for line in commands]
+        assert {args.command for args in parsed} == {"simulate", "estimate", "bandwidth",
+                                                     "bench"}
+
+    def test_python_quick_start_runs(self):
+        code, = [block for lang, block in self.blocks if lang == "python"]
+        namespace = {}
+        exec(code, namespace)
+        assert len(namespace["est"].kernels) == 10

@@ -182,6 +182,11 @@ class TestSpectralEstimate:
         with pytest.raises(DimensionError):
             SpectralEstimate(np.array([0.1]), (), 0.5, "TR", "lag-window")
 
+    def test_rejects_mixed_kernel_sizes(self):
+        ks = (FrequencyKernel(np.eye(2)), FrequencyKernel(np.eye(3)))
+        with pytest.raises(DimensionError, match=r"kernel shapes differ: \[\(2, 2\), \(3, 3\)\]"):
+            SpectralEstimate(np.array([0.1, 0.2]), ks, 0.5, "TR", "lag-window")
+
 
 class TestSerialization:
     def test_series_csv_roundtrip_bitwise(self, rng, tmp_path):
@@ -242,6 +247,16 @@ class TestSerialization:
                            for _ in range(n_kernels)]}
         with pytest.raises(DimensionError, match=f"{n_kernels} kernels for 2 frequencies"):
             estimate_from_json_dict(obj)
+
+    def test_estimate_json_kernels_share_one_size(self, rng):
+        obj = {"frequencies": [0.0, 0.5], "bandwidth": 0.25, "kernel_id": "TR(c=0.5)",
+               "method": "lag-window",
+               "kernels": [core.matrix_to_json_dict(random_hermitian(rng, d))
+                           for d in (2, 3)]}
+        with pytest.raises(DimensionError, match="kernel shapes differ"):
+            estimate_from_json_dict(obj)
+        obj["kernels"][1] = core.matrix_to_json_dict(random_hermitian(rng, 2))
+        assert [k.d for k in estimate_from_json_dict(obj).kernels] == [2, 2]
 
     def test_estimate_csv_dir_roundtrip(self, rng, tmp_path):
         freqs = np.array([0.1, 0.9])

@@ -163,14 +163,16 @@ class TestSmoothedEstimator:
             assert np.max(np.abs(k.matrix - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("T, bandwidth", [(512, 512 ** (-0.2)), (64, 1.0), (2, 1.0),
-                                              (3, 1.0), (5, 1.0)],
-                             ids=["T512-rate", "T64-unit", "T2-unit", "T3-unit", "T5-unit"])
+                                              (3, 1.0), (5, 1.0), (64, 0.01),
+                                              (2048, 2048 ** (-0.2))],
+                             ids=["T512-rate", "T64-unit", "T2-unit", "T3-unit", "T5-unit",
+                                  "T64-narrow", "T2048-rate"])
     def test_baseline_equals_periodogram_sum(self, T, bandwidth):
-        # EPA sums only the ordinates inside its support; the explicit sum
-        # over every s = 1..T-1 must agree. Frequencies near 0 and 2 pi make
-        # the band wrap, and one sits exactly on an ordinate. With B = 1 the
-        # padded ordinate window holds 3 ordinates at T = 2 (one repeated)
-        # and most of 0..T-1 at T = 3 and 5, wrapping past 0 or T - 1.
+        # EPA against the explicit sum over every s = 1..T-1. Frequencies
+        # near 0 and 2 pi make the band wrap, and one sits exactly on an
+        # ordinate. With B = 1 the band holds most ordinates at T = 2, 3 and
+        # 5. At T = 64 with B = 0.01, four of the five frequencies have no
+        # ordinate in their support, and their estimate is the zero matrix.
         s = generate_fma1(make_fma1_model(11, d=12), T)
         freqs = np.unique([0.0, 0.005, 2 * np.pi * (T // 2) / T, 3.0,
                            2 * np.pi - 0.001])
@@ -182,6 +184,7 @@ class TestSmoothedEstimator:
             direct = (2 * np.pi / T) * sum(
                 wt * np.outer(f, f.conj()) for wt, f in zip(weights, ordinates))
             assert np.max(np.abs(k.matrix - direct)) <= 1e-12 * np.max(np.abs(direct))
+            assert np.any(weights) or not np.any(k.matrix)
 
     def test_white_noise_mean_matches_flat_spectrum(self):
         # iid curves: E fhat = E r0 / (2 pi). The pooled difference must sit

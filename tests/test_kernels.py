@@ -217,7 +217,36 @@ class TestWeightFunction:
         assert np.max(np.abs(direct - periodized)) < 1e-3
 
 
+def three_image_baseline_weight(bandwidth, x):
+    """The periodized Epanechnikov weight summed over the images j0 - 1, j0
+    and j0 + 1, j0 the one nearest 0: the oracle for the one-image form."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    j0 = np.round(-x / (2.0 * np.pi))
+    for dj in (-1.0, 0.0, 1.0):
+        z = (x + 2.0 * np.pi * (j0 + dj)) / bandwidth
+        out += np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z**2), 0.0) / bandwidth
+    return out
+
+
+# x anywhere in [-4 pi, 4 pi], and the odd multiples of pi there, where the
+# nearest image switches
+_ARGUMENTS = st.one_of(
+    st.floats(min_value=-4 * np.pi, max_value=4 * np.pi),
+    st.sampled_from([k * np.pi for k in (-3, -1, 1, 3)]))
+
+
 class TestBaselineWeight:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+           st.lists(_ARGUMENTS, min_size=1, max_size=64))
+    def test_nearest_image_is_the_periodization_bit_for_bit(self, bandwidth, xs):
+        # a subnormal B sends z to inf, where both forms give 0
+        with np.errstate(over="ignore"):
+            got = baseline_weight(bandwidth, np.array(xs))
+            want = three_image_baseline_weight(bandwidth, xs)
+        assert got.tobytes() == want.tobytes()
+
     def test_peak_value(self):
         for b in (0.1, 0.435):
             assert baseline_weight(b, 0.0) == pytest.approx(0.75 / b, rel=1e-14)

@@ -275,6 +275,16 @@ class TestImseExperiment:
         # distinct specs of one family stay allowed
         assert len(ImseConfig(kernel_specs=(trapezoid(0.4), trapezoid())).kernel_specs) == 2
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(T_list=(64, 128, 64)), "T = 64 is given twice"),
+        (dict(T_list=()), "at least one T"),
+        (dict(kernel_specs=()), "one kernel spec"),
+    ], ids=["repeated-T", "empty-T-list", "no-kernel-specs"])
+    def test_repeated_T_and_empty_lists_rejected(self, kwargs, message):
+        # each (spec, T) cell gives one row
+        with pytest.raises(DomainError, match=message):
+            ImseConfig(**kwargs)
+
     def test_close_parameters_are_distinct_specs(self):
         near = parse_kernel('{"family": "TR", "c": 0.5000001}')
         config = ImseConfig(kernel_specs=(trapezoid(), near))
