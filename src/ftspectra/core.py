@@ -127,16 +127,29 @@ class FrequencyKernel:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"kernel matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NumericError("kernel matrix contains non-finite entries")
-        residual = hermitian_residual(m)
-        if residual > HERMITIAN_RTOL:
-            raise DomainError(f"matrix is not Hermitian (relative residual {residual:.3e})")
+        _check_kernels(m[None])
         object.__setattr__(self, "matrix", _readonly(m))
 
     @property
     def d(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_kernels(block: np.ndarray) -> np.ndarray:
+    """The (n, d, d) complex block of kernel matrices, unchanged.
+    NumericError unless every entry is finite; DomainError unless every
+    matrix is Hermitian within HERMITIAN_RTOL. The estimators build their
+    matrices exactly Hermitian, so the residual is computed only for a block
+    that is not equal to its conjugate transpose."""
+    if not np.isfinite(block).all():
+        raise NumericError("kernel matrix contains non-finite entries")
+    if not np.array_equal(block, block.conj().swapaxes(1, 2)):
+        for m in block:
+            residual = hermitian_residual(m)
+            if residual > HERMITIAN_RTOL:
+                raise DomainError(
+                    f"matrix is not Hermitian (relative residual {residual:.3e})")
+    return block
 
 
 def hermitian_residual(m: np.ndarray) -> float:

@@ -16,14 +16,15 @@ from .core import (
     FrequencyKernel,
     FunctionalSeries,
     SpectralEstimate,
+    _check_kernels,
     center,
     check_frequencies,
-    hermitize,
 )
 from .kernels import (
     FlatTopSpec,
     UnsupportedKernelError,
     baseline_weight,
+    check_bandwidth,
     lag_weights,
 )
 
@@ -38,21 +39,24 @@ def fdft_all(series: FunctionalSeries) -> np.ndarray:
     """Functional DFT of the centered series at every Fourier frequency
     2*pi*s/T, s = 0..T-1, as a T x d complex matrix with row s
     Xtilde_omega(tau_i) = (2*pi*T)^(-1/2) * sum_t X_t(tau_i) e^(-i omega t).
-    Cost O(d T log T) via an FFT over the time axis."""
-    return _fdft(center(series).values)
+    Cost O(d T log T) via one real FFT over the time axis: rows 0..T//2 are
+    computed, and row T - s is the conjugate of row s."""
+    H = _fdft(center(series).values)
+    return np.concatenate([H, H[1:(series.n_curves + 1) // 2][::-1].conj()])
 
 
 def _fdft(values: np.ndarray) -> np.ndarray:
-    """fdft_all of the already centered T x d values."""
-    return np.fft.fft(values, axis=0) / math.sqrt(TWO_PI * values.shape[0])
+    """Rows s = 0..T//2 of fdft_all of the already centered T x d values."""
+    return np.fft.rfft(values, axis=0) / math.sqrt(TWO_PI * values.shape[0])
 
 
-def _lag_product(values: np.ndarray, u: int, circular: bool = False) -> np.ndarray:
-    """(1/T) * sum_t X_{t+u} X_t^T for a lag 0 <= u (divisor T). Linear: the
-    sum runs over t < T - u, the biased sample autocovariance. Circular: it
-    runs over every t with t + u taken mod T, for any u >= 0."""
+def _lag_product(values: np.ndarray, u: int, lead: np.ndarray | None = None) -> np.ndarray:
+    """(1/T) * sum_t lead_{t+u} X_t^T for a lag 0 <= u (divisor T), over the
+    t < T for which lead has a row t + u. By default lead is the values: the
+    linear, biased sample autocovariance (t < T - u). The values followed by
+    their first u rows again give the circular one (t + u taken mod T)."""
     T = values.shape[0]
-    lead = np.roll(values, -u, axis=0) if circular else values[u:]
+    lead = (values if lead is None else lead)[u:u + T]
     return (lead.T @ values[: lead.shape[0]]) / T
 
 
@@ -71,10 +75,12 @@ def autocovariance(series: FunctionalSeries, lag: int) -> np.ndarray:
 
 def _autocovariance_stack(values: np.ndarray, n_lags: int, circular: bool) -> np.ndarray:
     """(n_lags + 1, d, d) stack of lag products for u = 0..n_lags. Circular
-    lags repeat with period T, so only the distinct ones are computed."""
+    lags repeat with period T, so only the distinct ones are computed, each
+    from a slice of one buffer that repeats the first rows after the last."""
     T = values.shape[0]
-    stack = np.stack([_lag_product(values, u, circular)
-                      for u in range(min(n_lags, T - 1) + 1)])
+    n = min(n_lags, T - 1) + 1
+    lead = np.concatenate([values, values[: n - 1]]) if circular else values
+    stack = np.stack([_lag_product(values, u, lead) for u in range(n)])
     return stack[np.arange(n_lags + 1) % T] if n_lags >= T else stack
 
 
@@ -106,48 +112,70 @@ def _flat_top_lags(spec, bandwidth, T: int, circular: bool) -> np.ndarray:
     return lam[: int(np.flatnonzero(lam)[-1]) + 1]
 
 
-def _baseline_core(F, bandwidth, frequencies) -> SpectralEstimate:
-    """Epanechnikov-weighted periodogram average from the T x d fDFT F of the
-    centered series, the sum as written, (2*pi/T) * sum_{s=1}^{T-1}
-    W(omega - 2*pi*s/T) F_s F_s^H, over the terms with a nonzero weight."""
-    T = F.shape[0]
-    F, F_conj = F[1:], F[1:].conj()
+def _baseline_block(H, T, bandwidth, frequencies) -> np.ndarray:
+    """Epanechnikov-weighted periodogram average, the sum as written,
+    (2*pi/T) * sum_{s=1}^{T-1} W(omega - 2*pi*s/T) F_s F_s^H over the terms
+    with a nonzero weight, at every frequency: (n_frequencies, d, d).
+
+    H holds the fDFT rows 0..T//2 of the centered series. A row s > T/2 is
+    F_s = conj(H_(T-s)), so those terms add up to the conjugate of
+    sum_r W(omega - 2*pi*(T-r)/T) H_r H_r^H over r = 1..(T-1)//2; the row
+    T/2 of an even T enters once. One weight row at a time, O(T) memory."""
+    H, H_conj = H[1:], H[1:].conj()
     omegas = TWO_PI * np.arange(1, T) / T
-    kernels = []
-    for w in frequencies:
+    block = np.empty((len(frequencies), H.shape[1], H.shape[1]), dtype=complex)
+    for m, w in zip(block, frequencies):
         weights = baseline_weight(bandwidth, w - omegas)
-        s = np.flatnonzero(weights)
-        m = TWO_PI / T * ((F[s].T * weights[s]) @ F_conj[s])
-        kernels.append(FrequencyKernel(hermitize(m)))
-    return SpectralEstimate(frequencies, tuple(kernels), float(bandwidth), "EPA",
-                            METHOD_SMOOTHED)
+        # low weighs the fDFT rows s = 1..T//2; high the conjugates of rows
+        # r = 1..(T-1)//2, which are the ordinates s = T - r
+        low, high = weights[: T // 2], weights[T // 2:][::-1]
+        s, r = np.flatnonzero(low), np.flatnonzero(high)
+        m[...] = (H[s].T * low[s]) @ H_conj[s]
+        m += (H_conj[r].T * high[r]) @ H[r]
+    # (2*pi/T) * (m + m^H) / 2: exactly Hermitian
+    block += block.conj().swapaxes(1, 2)
+    block *= np.pi / T
+    return block
 
 
 def _estimate_specs(values, specs, bandwidths, frequencies, method):
     """An iterator over the estimates of the centered T x d values by the
     method, estimate_smoothed's or estimate_lagwindow's, for each spec at its
-    bandwidth. The specs share the work, done here: the flat-top ones
-    contract one lag stack, circular for the smoothed periodogram and linear
-    for the lag window, built at their largest lag count; the baselines one
-    fDFT. The lag window refuses a baseline before any of it. Lag u of a
-    stack is the same lag product however many lags the stack holds, so each
-    estimate is the one-spec estimate bit for bit. The iterator holds the
-    stack and the fDFT, not the values, and makes one estimate at a time."""
+    bandwidth: one checked (n_frequencies, d, d) block per spec. The specs
+    share the work, done here: the flat-top ones contract one lag stack,
+    circular for the smoothed periodogram and linear for the lag window,
+    built at their largest lag count; the baselines one half-spectrum fDFT.
+    Every bandwidth is checked, and the lag window refuses a baseline, before
+    any of it. Lag u of a stack is the same lag product however many lags
+    the stack holds, so each block is the one-spec block bit for bit. The
+    iterator holds the stack and the fDFT, not the values, and makes one
+    block at a time."""
     T = values.shape[0]
     circular = method == METHOD_SMOOTHED
+    bandwidths = [check_bandwidth(bandwidth) for bandwidth in bandwidths]
     if not circular and not all(spec.is_flat_top for spec in specs):
         raise UnsupportedKernelError("the Epanechnikov baseline has no lag-window form")
     lams = [_flat_top_lags(spec, bandwidth, T, circular) if spec.is_flat_top else None
             for spec, bandwidth in zip(specs, bandwidths)]
     sizes = [lam.size for lam in lams if lam is not None]
     stack = _autocovariance_stack(values, max(sizes) - 1, circular) if sizes else None
-    F = _fdft(values) if any(lam is None for lam in lams) else None
-    return (_baseline_core(F, bandwidth, frequencies) if lam is None
-            else SpectralEstimate(
-                frequencies,
-                map(FrequencyKernel, _lag_sum(stack[: lam.size], lam, frequencies)),
-                float(bandwidth), spec.identifier, method)
-            for spec, bandwidth, lam in zip(specs, bandwidths, lams))
+    H = _fdft(values) if any(lam is None for lam in lams) else None
+    return (_check_kernels(_baseline_block(H, T, bandwidth, frequencies) if lam is None
+                           else _lag_sum(stack[: lam.size], lam, frequencies))
+            for bandwidth, lam in zip(bandwidths, lams))
+
+
+def _as_estimate(block, frequencies, spec, bandwidth, method) -> SpectralEstimate:
+    """A checked block as the SpectralEstimate of the spec at its bandwidth."""
+    return SpectralEstimate(frequencies, map(FrequencyKernel, block), float(bandwidth),
+                            spec.identifier, method)
+
+
+def _estimate(series, spec, bandwidth, frequencies, method) -> SpectralEstimate:
+    frequencies = _frequencies(frequencies)
+    block, = _estimate_specs(center(series).values, (spec,), (bandwidth,), frequencies,
+                             method)
+    return _as_estimate(block, frequencies, spec, bandwidth, method)
 
 
 def estimate_smoothed(series: FunctionalSeries, spec: FlatTopSpec,
@@ -166,9 +194,7 @@ def estimate_smoothed(series: FunctionalSeries, spec: FlatTopSpec,
     multiplies the ordinates directly, and the terms with a nonzero weight
     are summed.
     """
-    frequencies = _frequencies(frequencies)
-    return next(_estimate_specs(center(series).values, (spec,), (bandwidth,),
-                                frequencies, METHOD_SMOOTHED))
+    return _estimate(series, spec, bandwidth, frequencies, METHOD_SMOOTHED)
 
 
 def estimate_lagwindow(series: FunctionalSeries, spec: FlatTopSpec,
@@ -180,6 +206,4 @@ def estimate_lagwindow(series: FunctionalSeries, spec: FlatTopSpec,
     it; all dropped terms are exactly zero. Flat-top specs only: the baseline
     has no taper form.
     """
-    frequencies = _frequencies(frequencies)
-    return next(_estimate_specs(center(series).values, (spec,), (bandwidth,),
-                                frequencies, METHOD_LAG_WINDOW))
+    return _estimate(series, spec, bandwidth, frequencies, METHOD_LAG_WINDOW)

@@ -22,15 +22,17 @@ from .core import (
     FunctionalSeries,
     Grid,
     SpectralEstimate,
+    _check_kernels,
+    _readonly,
     center,
-    hs_distance,
     write_csv,
     write_json,
-    _readonly,
 )
 from .bandwidth import _bandwidth_from_q, select_bandwidth
 from .estimator import (
+    DEFAULT_FREQUENCIES,
     METHOD_SMOOTHED,
+    _as_estimate,
     _estimate_specs,
     _frequencies,
     _lag_sum,
@@ -131,10 +133,12 @@ def generate_fma1(model: Fma1Model, T: int,
         if model.seed is None:
             raise DomainError("model has no seed; pass an explicit generator")
         rng = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(2)[1])
-    eps = rng.standard_normal((T + 1, N_INNOV)) * np.sqrt(ETA)
-    coef = eps[1:] @ model.a0.T + eps[:-1] @ model.a1.T
-    psi = basis_matrix(model.grid)
-    return FunctionalSeries(model.grid, coef @ psi.T)
+    eps = rng.standard_normal((T + 1, N_INNOV))
+    eps *= np.sqrt(ETA)
+    coef = eps[1:] @ model.a0.T
+    coef += eps[:-1] @ model.a1.T
+    del eps
+    return FunctionalSeries(model.grid, coef @ basis_matrix(model.grid).T)
 
 
 def true_spectrum(model: Fma1Model, frequencies=None) -> SpectralEstimate:
@@ -147,12 +151,18 @@ def true_spectrum(model: Fma1Model, frequencies=None) -> SpectralEstimate:
     SpectralEstimate with bandwidth 0.0 (no smoothing), kernel_id "truth"
     and method "closed-form", so it carries the checks of every estimate."""
     frequencies = _frequencies(frequencies)
+    return SpectralEstimate(frequencies, map(FrequencyKernel, _truth_block(model, frequencies)),
+                            0.0, "truth", "closed-form")
+
+
+def _truth_block(model: Fma1Model, frequencies) -> np.ndarray:
+    """true_spectrum's matrices at the checked frequencies as one checked
+    (n_frequencies, d, d) block."""
     psi = basis_matrix(model.grid)
     b0, b1 = psi @ model.a0, psi @ model.a1
     c0 = (b0 * ETA) @ b0.T + (b1 * ETA) @ b1.T
     c1 = (b1 * ETA) @ b0.T
-    kernels = map(FrequencyKernel, _lag_sum(np.stack([c0, c1]), np.ones(2), frequencies))
-    return SpectralEstimate(frequencies, kernels, 0.0, "truth", "closed-form")
+    return _check_kernels(_lag_sum(np.stack([c0, c1]), np.ones(2), frequencies))
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +190,28 @@ def imse_frequency_weights(frequencies) -> np.ndarray:
 def imse_from_estimate(estimate, truth: SpectralEstimate) -> float:
     """Weighted squared Hilbert-Schmidt distance between an estimate and the
     truth over the frequency grid; DimensionError unless both are on the
-    same frequencies."""
+    same frequencies with kernels of one size."""
     if not np.array_equal(estimate.frequencies, truth.frequencies):
         raise DimensionError(
             f"estimate and truth are on different frequencies: "
             f"{estimate.frequencies.tolist()} vs {truth.frequencies.tolist()}")
-    w = imse_frequency_weights(estimate.frequencies)
-    return float(sum(
-        wi * hs_distance(a, b) ** 2
-        for wi, a, b in zip(w, estimate.kernels, truth.kernels)
-    ))
+    weights = imse_frequency_weights(estimate.frequencies)
+    block = np.array([k.matrix for k in estimate.kernels])
+    truth_block = np.array([k.matrix for k in truth.kernels])
+    if block.shape != truth_block.shape:
+        raise DimensionError(f"kernel shapes differ: {block.shape[1:]} vs "
+                             f"{truth_block.shape[1:]}")
+    return _block_imse(block, truth_block, weights)
+
+
+def _block_imse(block: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> float:
+    """sum_j w_j * ||block_j - truth_j||_HS^2 over (n_frequencies, d, d)
+    blocks, the squared HS norm of a d x d matrix being its squared Frobenius
+    norm over d^2. Overwrites block with the difference."""
+    block -= truth
+    n, d = block.shape[0], block.shape[1]
+    diff = block.view(float).reshape(n, -1)
+    return float(weights @ np.einsum("jk,jk->j", diff, diff)) / d**2
 
 
 @dataclass(frozen=True)
@@ -276,30 +298,42 @@ def resolve_bandwidths(mode, series: FunctionalSeries, specs) -> list:
     return [bandwidth] * len(specs)
 
 
-def _estimates(config: ImseConfig, series: FunctionalSeries, frequencies=None):
-    """The smoothed estimate of the series for each kernel spec of the
-    config, in spec order, at the bandwidth the config's mode gives it; each
-    equal to estimate_smoothed's, bit for bit. Every bandwidth is resolved
-    here, before any estimate is made, so a refused bandwidth fails first;
-    the series is then centered once, and the estimates, yielded one at a
-    time, share one lag stack."""
-    frequencies = _frequencies(frequencies)
+def _estimate_blocks(config: ImseConfig, series: FunctionalSeries, frequencies):
+    """The bandwidths the config's mode gives its kernel specs, in spec
+    order, and an iterator over the checked smoothed-estimate blocks of the
+    series at them, one at a time; each block equal to estimate_smoothed's
+    matrices, bit for bit. Every bandwidth is resolved before any estimate
+    is made, so a refused bandwidth fails first; the series is then centered
+    once, and the blocks share one lag stack."""
     bandwidths = resolve_bandwidths(config.bandwidth_mode, series, config.kernel_specs)
-    return _estimate_specs(center(series).values, config.kernel_specs, bandwidths,
-                           frequencies, METHOD_SMOOTHED)
+    return bandwidths, _estimate_specs(center(series).values, config.kernel_specs,
+                                       bandwidths, frequencies, METHOD_SMOOTHED)
+
+
+def _estimates(config: ImseConfig, series: FunctionalSeries, frequencies=None):
+    """_estimate_blocks' blocks as the smoothed estimates of the config's
+    kernel specs, in spec order, one at a time."""
+    frequencies = _frequencies(frequencies)
+    bandwidths, blocks = _estimate_blocks(config, series, frequencies)
+    return (_as_estimate(block, frequencies, spec, bandwidth, METHOD_SMOOTHED)
+            for spec, bandwidth, block in zip(config.kernel_specs, bandwidths, blocks))
 
 
 def _run_replication(config: ImseConfig, task) -> list:
     """One (T, replication) cell: simulate from the task's generator stream,
     estimate with every kernel spec of the config, and return the IMSE of
-    each against the replication's own truth, in spec order."""
+    each against the replication's own truth, in spec order. The truth is
+    one block, and each estimate block is scored as it comes."""
     T, seed_ss, operators = task
     rng = np.random.default_rng(seed_ss)
     a0, a1 = _draw_operators(rng) if operators is None else operators
     model = Fma1Model(a0, a1, Grid(config.d))
     series = generate_fma1(model, T, rng=rng)
-    truth = true_spectrum(model)
-    return [imse_from_estimate(est, truth) for est in _estimates(config, series)]
+    truth = _truth_block(model, DEFAULT_FREQUENCIES)
+    _, blocks = _estimate_blocks(config, series, DEFAULT_FREQUENCIES)
+    score = functools.partial(_block_imse, truth=truth,
+                              weights=imse_frequency_weights(DEFAULT_FREQUENCIES))
+    return list(map(score, blocks))  # map lets go of each block once it is scored
 
 
 def imse_experiment(config: ImseConfig) -> list:

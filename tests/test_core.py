@@ -162,6 +162,45 @@ class TestFrequencyKernel:
         FrequencyKernel(m)  # within the 1e-10 relative tolerance
 
 
+class TestKernelBlockCheck:
+    """core._check_kernels checks an (n, d, d) block the way FrequencyKernel
+    checks its one matrix, and FrequencyKernel runs it."""
+
+    @staticmethod
+    def block(rng):
+        return np.stack([random_hermitian(rng, 4) for _ in range(3)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imaginary-inf"])
+    def test_non_finite_block_raises_what_a_kernel_raises(self, rng, bad):
+        block = self.block(rng)
+        block[1, 2, 2] = bad
+        with pytest.raises(NumericError) as kernel:
+            FrequencyKernel(block[1])
+        with pytest.raises(NumericError) as checked:
+            core._check_kernels(block)
+        assert str(checked.value) == str(kernel.value)
+
+    def test_non_hermitian_block_raises_what_a_kernel_raises(self, rng):
+        block = self.block(rng)
+        block[2, 0, 3] += 1e-8 * np.max(np.abs(block[2]))
+        with pytest.raises(DomainError) as kernel:
+            FrequencyKernel(block[2])
+        with pytest.raises(DomainError) as checked:
+            core._check_kernels(block)
+        assert str(checked.value) == str(kernel.value)
+        assert "not Hermitian" in str(checked.value)
+
+    def test_passes_within_the_tolerance(self, rng):
+        block = self.block(rng)
+        assert core._check_kernels(block) is block  # exactly Hermitian
+        block[0, 1, 2] += 1e-14 * np.max(np.abs(block[0]))
+        before = block.copy()
+        assert core._check_kernels(block) is block
+        assert np.array_equal(block, before)
+        assert core._check_kernels(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4, 4)
+
+
 class TestSpectralEstimate:
     def test_rejects_unsorted_frequencies(self, rng):
         ks = tuple(FrequencyKernel(np.eye(2)) for _ in (0.2, 0.1))

@@ -5,6 +5,7 @@ from ftspectra import (
     DomainError,
     FunctionalSeries,
     Grid,
+    NumericError,
     UnsupportedKernelError,
     autocovariance,
     baseline_weight,
@@ -43,11 +44,13 @@ def centered(values):
 
 def test_centers_own_input(rng):
     # fdft_all and autocovariance on a raw series equal, bit for bit, the
-    # same formulas applied to values - values.mean(axis=0)
+    # same formulas applied to values - values.mean(axis=0); the fDFT's rows
+    # 0..T/2 are the real FFT, the others their conjugates
     T = 12
     s = FunctionalSeries(Grid(4), rng.standard_normal((T, 4)) + 5.0)
     c = s.values - s.values.mean(axis=0)
-    assert np.array_equal(fdft_all(s), np.fft.fft(c, axis=0) / np.sqrt(2 * np.pi * T))
+    half = np.fft.rfft(c, axis=0) / np.sqrt(2 * np.pi * T)
+    assert np.array_equal(fdft_all(s), np.concatenate([half, half[1:T // 2][::-1].conj()]))
     for u in (0, 1, 5, T - 1):
         lagged = (c[u:].T @ c[: T - u]) / T
         assert np.array_equal(autocovariance(s, u), lagged)
@@ -81,6 +84,23 @@ class TestFdft:
         T = fma_series.n_curves
         for s in (1, 5, T // 3):
             assert np.allclose(F[T - s], F[s].conj(), rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("T", [2, 3, 7, 8, 9, 16, 257])
+    def test_rows_pair_as_exact_conjugates(self, rng, T):
+        # row T - s is built as the conjugate of row s, s = 1..T-1; at T/2
+        # the real FFT's Nyquist row is real
+        F = fdft_all(FunctionalSeries(Grid(5), rng.standard_normal((T, 5))))
+        s = np.arange(1, T)
+        assert F.shape == (T, 5)
+        assert np.array_equal(F[T - s], F[s].conj())
+
+    @pytest.mark.parametrize("T", [2, 7, 8, 64, 2048])
+    def test_agrees_with_the_complex_fft(self, rng, T):
+        values = rng.standard_normal((T, 6))
+        c = values - values.mean(axis=0)
+        direct = np.fft.fft(c, axis=0) / np.sqrt(2 * np.pi * T)
+        F = fdft_all(FunctionalSeries(Grid(6), values))
+        assert np.max(np.abs(F - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_requires_centered(self, rng):
         # fdft_all centers its own input: a constant added to each column
@@ -185,6 +205,25 @@ class TestSmoothedEstimator:
                 wt * np.outer(f, f.conj()) for wt, f in zip(weights, ordinates))
             assert np.max(np.abs(k.matrix - direct)) <= 1e-12 * np.max(np.abs(direct))
             assert np.any(weights) or not np.any(k.matrix)
+
+    @pytest.mark.parametrize("T", [7, 8, 9, 16])
+    @pytest.mark.parametrize("bandwidth", [0.3, 1.0])
+    def test_half_spectrum_baseline_equals_the_full_sum(self, T, bandwidth):
+        # EPA from the real FFT's rows 0..T/2 against the sum over every
+        # s = 1..T-1 of the complex FFT's ordinates: odd and even T (the
+        # Nyquist ordinate counted once), frequencies near 0, on pi and near
+        # it, and near 2 pi. Where no ordinate has a weight, both are zero.
+        s = generate_fma1(make_fma1_model(13, d=5), T)
+        c = s.values - s.values.mean(axis=0)
+        F = np.fft.fft(c, axis=0) / np.sqrt(2 * np.pi * T)
+        freqs = np.array([0.0, 1e-3, 0.2, np.pi - 1e-3, np.pi, np.pi + 1e-3,
+                          2 * np.pi - 1e-3])
+        est = estimate_smoothed(s, epanechnikov(), bandwidth, freqs)
+        for w, k in zip(freqs, est.kernels):
+            direct = (2 * np.pi / T) * sum(
+                baseline_weight(bandwidth, w - 2 * np.pi * j / T) * np.outer(F[j], F[j].conj())
+                for j in range(1, T))
+            assert np.max(np.abs(k.matrix - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_white_noise_mean_matches_flat_spectrum(self):
         # iid curves: E fhat = E r0 / (2 pi). The pooled difference must sit
@@ -320,3 +359,40 @@ def test_frequencies_checked_before_any_work(fma_series, monkeypatch, estimate, 
     monkeypatch.setattr(estimator, "_fdft", no_work)
     with pytest.raises(DomainError):
         estimate(fma_series, spec, 0.5, frequencies)
+
+
+@pytest.mark.parametrize("estimate, spec", [(estimate_smoothed, epanechnikov()),
+                                            (estimate_smoothed, trapezoid()),
+                                            (estimate_lagwindow, trapezoid())],
+                         ids=["smoothed-EPA", "smoothed-TR", "lagwindow-TR"])
+@pytest.mark.parametrize("bandwidth", [5.0, 0.0, np.nan])
+@pytest.mark.parametrize("frequencies", [[], None], ids=["no-frequencies", "paper-grid"])
+def test_bandwidth_checked_before_any_work(fma_series, monkeypatch, estimate, spec,
+                                           bandwidth, frequencies):
+    # an empty frequency grid once gave the baseline an empty estimate that
+    # carried the refused bandwidth
+    def no_work(*args):
+        raise AssertionError("the estimator ran before checking its bandwidth")
+
+    monkeypatch.setattr(estimator, "_autocovariance_stack", no_work)
+    monkeypatch.setattr(estimator, "_fdft", no_work)
+    with pytest.raises(DomainError, match="bandwidth"):
+        estimate(fma_series, spec, bandwidth, frequencies)
+
+
+@pytest.mark.parametrize("spec", [epanechnikov(), trapezoid()], ids=["EPA", "TR"])
+@pytest.mark.parametrize("bad, error", [(np.nan, NumericError), (1e-3j, DomainError)],
+                         ids=["non-finite", "non-Hermitian"])
+def test_every_block_is_checked(fma_series, monkeypatch, spec, bad, error):
+    # a block that comes out spoiled is refused before it becomes an estimate
+    def spoiled(build):
+        def wrapper(*args):
+            block = build(*args)
+            block[1, 0, 1] += bad
+            return block
+        return wrapper
+
+    monkeypatch.setattr(estimator, "_lag_sum", spoiled(estimator._lag_sum))
+    monkeypatch.setattr(estimator, "_baseline_block", spoiled(estimator._baseline_block))
+    with pytest.raises(error):
+        estimate_smoothed(fma_series, spec, 0.3)

@@ -19,6 +19,7 @@ from ftspectra import (
     estimate_smoothed,
     estimate_to_json_dict,
     generate_fma1,
+    hs_distance,
     imse_experiment,
     imse_from_estimate,
     make_fma1_model,
@@ -216,9 +217,11 @@ class TestTrueSpectrum:
 class TestImseExperiment:
     def test_truth_injection_gives_zero(self, monkeypatch):
         # an estimator that returns the truth scores exactly zero
-        estimate, truth = estimate_and_truth(np.pi * np.arange(10) / 10)
-        monkeypatch.setattr(sim, "true_spectrum", lambda model: truth)
-        monkeypatch.setattr(sim, "_estimates", lambda *args: [estimate])
+        def identity_block(*args):
+            return np.stack([np.eye(2, dtype=complex)] * 10)
+
+        monkeypatch.setattr(sim, "_truth_block", identity_block)
+        monkeypatch.setattr(sim, "_estimate_blocks", lambda *args: ([0.5], [identity_block()]))
         cfg = ImseConfig(T_list=(64,), n_runs=2, d=10,
                          kernel_specs=(trapezoid(),), seed=5)
         rows = imse_experiment(cfg)
@@ -331,6 +334,32 @@ class TestImseExperiment:
         val = imse_from_estimate(est, true_spectrum(model))
         assert val > 0.0
 
+    def test_block_imse_is_the_weighted_hs_sum(self):
+        # a replication's block scores and imse_from_estimate against the
+        # per-kernel sum of w_j * hs_distance^2, for every default kernel
+        T, d, seed = 256, 20, np.random.SeedSequence(8)
+        config = ImseConfig(T_list=(T,), d=d)
+        imses = sim._run_replication(config, (T, seed, None))
+        rng = np.random.default_rng(seed)
+        model = Fma1Model(*sim._draw_operators(rng), Grid(d))
+        series = generate_fma1(model, T, rng=rng)
+        truth = true_spectrum(model)
+        w = imse_frequency_weights(truth.frequencies)
+        assert len(imses) == len(config.kernel_specs)
+        for spec, imse in zip(config.kernel_specs, imses):
+            est = estimate_smoothed(series, spec, T ** -0.2)
+            expected = sum(wi * hs_distance(a, b) ** 2
+                           for wi, a, b in zip(w, est.kernels, truth.kernels))
+            assert imse == pytest.approx(expected, rel=1e-14, abs=0.0)
+            assert imse_from_estimate(est, truth) == pytest.approx(expected, rel=1e-14,
+                                                                   abs=0.0)
+
+    def test_imse_rejects_other_kernel_size(self, model):
+        est = estimate_smoothed(generate_fma1(model, 128), trapezoid(), 128 ** -0.2)
+        other = true_spectrum(dataclasses.replace(model, grid=Grid(model.grid.d + 1)))
+        with pytest.raises(DimensionError):
+            imse_from_estimate(est, other)
+
     def test_imse_rejects_other_frequency_grid(self, model):
         # kernels are compared frequency by frequency, never by position
         est = estimate_smoothed(generate_fma1(model, 128), trapezoid(), 128 ** -0.2)
@@ -384,14 +413,16 @@ class TestSharedReplicationWork:
 
     def test_one_center_and_one_lag_stack_per_replication(self, monkeypatch):
         config = ImseConfig(T_list=(2048,))
+        stacks = counting(monkeypatch, estimator, "_autocovariance_stack")
         products = counting(monkeypatch, estimator, "_lag_product")
         centers = counting(monkeypatch, sim, "center")
         imses = sim._run_replication(config, (2048, np.random.SeedSequence(0), None))
         assert len(imses) == 4
         assert len(centers) == 1
-        # rate bandwidth at T = 2048: L = 4, 8, 4 for TR, PR, ID
+        # rate bandwidth at T = 2048: L = 4, 8, 4 for TR, PR, ID; one
+        # circular stack of lags 0..8
+        assert [args[1:] for args, _ in stacks] == [(8, True)]
         assert [args[1] for args, _ in products] == list(range(9))
-        assert all(args[2] for args, _ in products)  # circular
 
     def test_auto_searches_once_per_replication(self, model, monkeypatch):
         series = generate_fma1(model, 256)
