@@ -210,8 +210,7 @@ def cmd_estimate(args) -> int:
         "psd_mode": args.psd,
         "eps": float(eps) if args.psd == "definite" else None,
         "frequencies": est.frequencies.tolist(),
-        "hermitian_residual_max": max(hermitian_residual(k.matrix)
-                                      for k in est.kernels),
+        "hermitian_residual_max": max(map(hermitian_residual, est.matrices)),
         "min_eigenvalue_per_frequency": [min_eigenvalue(k) for k in est.kernels],
     }
     _write_json(f"{args.out}.summary.json", summary)
@@ -258,18 +257,17 @@ def _write_traces(out_dir, config: ImseConfig) -> None:
     idx = gamma_grid_indices(config.d)
     header = ["omega"] + [f"tau_{i}" for i in idx]
 
-    def write_trace(path, kernels):
-        write_csv(path, [header] + [[w, *np.abs(np.diagonal(k.matrix))[idx]]
-                                    for w, k in zip(freqs, kernels)])
+    def write_trace(path, est):
+        write_csv(path, [header] + [[w, *np.abs(np.diagonal(m))[idx]]
+                                    for w, m in zip(freqs, est.matrices)])
 
     seen = {}   # specs per family so far: the k-th, k >= 2, is trace_<family>_<k>
     for spec, est in zip(config.kernel_specs, _estimates(config, series, freqs)):
         family = spec.identifier.split("(")[0].lower()
         seen[family] = k = seen.get(family, 0) + 1
         name = family if k == 1 else f"{family}_{k}"
-        write_trace(os.path.join(out_dir, f"trace_{name}.csv"), est.kernels)
-    truth = true_spectrum(model, freqs)
-    write_trace(os.path.join(out_dir, "trace_truth.csv"), truth.kernels)
+        write_trace(os.path.join(out_dir, f"trace_{name}.csv"), est)
+    write_trace(os.path.join(out_dir, "trace_truth.csv"), true_spectrum(model, freqs))
 
 
 _ERROR_EXITS = (

@@ -109,9 +109,9 @@ def check_frequencies(frequencies) -> np.ndarray:
     f = np.asarray(frequencies, dtype=float)
     if f.ndim != 1:
         raise DimensionError("frequencies must be one-dimensional")
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise DomainError(f"frequencies must be finite, got {f.tolist()}")
-    if f.size and (f[0] < 0.0 or f[-1] >= TWO_PI or np.any(np.diff(f) <= 0.0)):
+    if f.size and (f[0] < 0.0 or f[-1] >= TWO_PI or (f[1:] <= f[:-1]).any()):
         raise DomainError("frequencies must be strictly increasing within [0, 2*pi)")
     return f
 
@@ -181,26 +181,42 @@ def hs_distance(a: FrequencyKernel, b: FrequencyKernel) -> float:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """A frequency kernel per evaluation frequency plus estimation metadata."""
+    """A spectral density estimate: one d x d Hermitian matrix per evaluation
+    frequency, held as one read-only complex (n_frequencies, d, d) block,
+    plus estimation metadata. ``matrices`` may be the block or a sequence of
+    matrices; the constructor checks the frequencies, one square matrix per
+    frequency, all of one size, and finite, Hermitian entries."""
 
     frequencies: np.ndarray
-    kernels: tuple
+    matrices: np.ndarray
     bandwidth: float
     kernel_id: str
     method: str
 
     def __post_init__(self):
         f = check_frequencies(self.frequencies)
-        kernels = tuple(self.kernels)
-        if len(kernels) != f.size:
+        block = self.matrices
+        if not isinstance(block, np.ndarray):
+            block = list(block)
+            shapes = sorted({np.shape(m) for m in block})
+            if len(shapes) > 1:
+                raise DimensionError(f"kernel shapes differ: {shapes}")
+        block = np.asarray(block, dtype=complex)
+        if block.shape == (0,):  # no matrices, so no matrix axes either
+            block = block.reshape(0, 0, 0)
+        if block.ndim != 3 or block.shape[1] != block.shape[2]:
             raise DimensionError(
-                f"{len(kernels)} kernels for {f.size} frequencies"
-            )
-        shapes = {k.matrix.shape for k in kernels}
-        if len(shapes) > 1:
-            raise DimensionError(f"kernel shapes differ: {sorted(shapes)}")
+                f"kernel matrix must be square, got shape {block.shape[1:]}")
+        if block.shape[0] != f.size:
+            raise DimensionError(f"{block.shape[0]} kernels for {f.size} frequencies")
         object.__setattr__(self, "frequencies", _readonly(f))
-        object.__setattr__(self, "kernels", kernels)
+        object.__setattr__(self, "matrices", _readonly(_check_kernels(block)))
+
+    @property
+    def kernels(self) -> tuple:
+        """One FrequencyKernel per frequency, each a view of its row of
+        ``matrices``."""
+        return tuple(map(FrequencyKernel, self.matrices))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +383,7 @@ def matrix_from_json_dict(obj: dict) -> np.ndarray:
 def estimate_to_json_dict(est: SpectralEstimate) -> dict:
     return {
         "frequencies": est.frequencies.tolist(),
-        "kernels": [matrix_to_json_dict(k.matrix) for k in est.kernels],
+        "kernels": [matrix_to_json_dict(m) for m in est.matrices],
         "bandwidth": float(est.bandwidth),
         "kernel_id": est.kernel_id,
         "method": est.method,
@@ -376,8 +392,8 @@ def estimate_to_json_dict(est: SpectralEstimate) -> dict:
 
 def estimate_from_json_dict(obj: dict) -> SpectralEstimate:
     try:
-        kernels = tuple(FrequencyKernel(matrix_from_json_dict(k)) for k in obj["kernels"])
-        return SpectralEstimate(obj["frequencies"], kernels, float(obj["bandwidth"]),
+        matrices = [matrix_from_json_dict(k) for k in obj["kernels"]]
+        return SpectralEstimate(obj["frequencies"], matrices, float(obj["bandwidth"]),
                                 str(obj["kernel_id"]), str(obj["method"]))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (DomainError, DimensionError)):
@@ -393,6 +409,6 @@ def estimate_to_csv_dir(est: SpectralEstimate, path) -> None:
     meta = estimate_to_json_dict(est)
     del meta["kernels"]
     write_json(os.path.join(path, "meta.json"), meta)
-    for i, k in enumerate(est.kernels):
-        write_csv(os.path.join(path, f"freq_{i:04d}_re.csv"), k.matrix.real)
-        write_csv(os.path.join(path, f"freq_{i:04d}_im.csv"), k.matrix.imag)
+    for i, m in enumerate(est.matrices):
+        write_csv(os.path.join(path, f"freq_{i:04d}_re.csv"), m.real)
+        write_csv(os.path.join(path, f"freq_{i:04d}_im.csv"), m.imag)

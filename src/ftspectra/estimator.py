@@ -13,10 +13,8 @@ import numpy as np
 from .core import (
     TWO_PI,
     DomainError,
-    FrequencyKernel,
     FunctionalSeries,
     SpectralEstimate,
-    _check_kernels,
     center,
     check_frequencies,
 )
@@ -139,17 +137,17 @@ def _baseline_block(H, T, bandwidth, frequencies) -> np.ndarray:
 
 
 def _estimate_specs(values, specs, bandwidths, frequencies, method):
-    """An iterator over the estimates of the centered T x d values by the
-    method, estimate_smoothed's or estimate_lagwindow's, for each spec at its
-    bandwidth: one checked (n_frequencies, d, d) block per spec. The specs
-    share the work, done here: the flat-top ones contract one lag stack,
-    circular for the smoothed periodogram and linear for the lag window,
-    built at their largest lag count; the baselines one half-spectrum fDFT.
-    Every bandwidth is checked, and the lag window refuses a baseline, before
-    any of it. Lag u of a stack is the same lag product however many lags
-    the stack holds, so each block is the one-spec block bit for bit. The
-    iterator holds the stack and the fDFT, not the values, and makes one
-    block at a time."""
+    """An iterator over the SpectralEstimates of the centered T x d values
+    by the method, estimate_smoothed's or estimate_lagwindow's, for each
+    spec at its bandwidth, on the checked frequencies. The specs share the
+    work, done here: the flat-top ones contract one lag stack, circular for
+    the smoothed periodogram and linear for the lag window, built at their
+    largest lag count; the baselines one half-spectrum fDFT. Every bandwidth
+    is checked, and the lag window refuses a baseline, before any of it. Lag
+    u of a stack is the same lag product however many lags the stack holds,
+    so each estimate is the one-spec estimate bit for bit. The iterator
+    holds the stack and the fDFT, not the values, and makes one estimate at
+    a time."""
     T = values.shape[0]
     circular = method == METHOD_SMOOTHED
     bandwidths = [check_bandwidth(bandwidth) for bandwidth in bandwidths]
@@ -160,22 +158,18 @@ def _estimate_specs(values, specs, bandwidths, frequencies, method):
     sizes = [lam.size for lam in lams if lam is not None]
     stack = _autocovariance_stack(values, max(sizes) - 1, circular) if sizes else None
     H = _fdft(values) if any(lam is None for lam in lams) else None
-    return (_check_kernels(_baseline_block(H, T, bandwidth, frequencies) if lam is None
-                           else _lag_sum(stack[: lam.size], lam, frequencies))
-            for bandwidth, lam in zip(bandwidths, lams))
-
-
-def _as_estimate(block, frequencies, spec, bandwidth, method) -> SpectralEstimate:
-    """A checked block as the SpectralEstimate of the spec at its bandwidth."""
-    return SpectralEstimate(frequencies, map(FrequencyKernel, block), float(bandwidth),
-                            spec.identifier, method)
+    return (SpectralEstimate(frequencies,
+                             _baseline_block(H, T, bandwidth, frequencies) if lam is None
+                             else _lag_sum(stack[: lam.size], lam, frequencies),
+                             bandwidth, spec.identifier, method)
+            for spec, bandwidth, lam in zip(specs, bandwidths, lams))
 
 
 def _estimate(series, spec, bandwidth, frequencies, method) -> SpectralEstimate:
     frequencies = _frequencies(frequencies)
-    block, = _estimate_specs(center(series).values, (spec,), (bandwidth,), frequencies,
-                             method)
-    return _as_estimate(block, frequencies, spec, bandwidth, method)
+    estimate, = _estimate_specs(center(series).values, (spec,), (bandwidth,), frequencies,
+                                method)
+    return estimate
 
 
 def estimate_smoothed(series: FunctionalSeries, spec: FlatTopSpec,

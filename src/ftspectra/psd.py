@@ -4,6 +4,7 @@ positive definiteness (eigenvalues floored at a small epsilon)."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,27 +38,33 @@ def eigendecompose(kernel: FrequencyKernel) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1], v[:, ::-1]
 
 
-def _clip(kernel: FrequencyKernel, floor: float) -> FrequencyKernel:
+def _clip(kernel: FrequencyKernel, floor: float) -> np.ndarray:
+    """The kernel matrix with its eigenvalues floored at floor, exactly
+    Hermitian."""
     w, v = eigendecompose(kernel)
-    m = (v * np.maximum(w, floor)) @ v.conj().T
-    return FrequencyKernel(hermitize(m))
+    return hermitize((v * np.maximum(w, floor)) @ v.conj().T)
+
+
+def _check_floor(eps) -> float:
+    """The eigenvalue floor as a float; DomainError unless finite and positive."""
+    eps = float(eps)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eigenvalue floor must be finite and positive, got {eps}")
+    return eps
 
 
 def clip_to_psd(kernel: FrequencyKernel) -> FrequencyKernel:
     """Replace negative eigenvalues by zero: the Frobenius-norm projection of
     the Hermitian matrix onto the positive semi-definite cone. Idempotent and
     a fixed point on inputs that are already PSD."""
-    return _clip(kernel, 0.0)
+    return FrequencyKernel(_clip(kernel, 0.0))
 
 
 def clip_to_pd(kernel: FrequencyKernel, eps: float) -> FrequencyKernel:
     """Floor all eigenvalues at a finite eps > 0, producing a strictly
     positive definite matrix; differs from the PSD clip by at most eps per
     clipped eigenvalue. A floor of order 1/T keeps the estimator's accuracy."""
-    eps = float(eps)
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"eigenvalue floor must be finite and positive, got {eps}")
-    return _clip(kernel, eps)
+    return FrequencyKernel(_clip(kernel, _check_floor(eps)))
 
 
 def min_eigenvalue(kernel: FrequencyKernel) -> float:
@@ -73,17 +80,22 @@ def clip_estimate(estimate: SpectralEstimate, mode: str,
     """Apply a per-frequency eigenvalue clip to a whole spectral estimate.
 
     mode is one of ``none``, ``semidefinite``, ``definite``; the latter
-    requires an eigenvalue floor eps.
+    requires an eigenvalue floor eps. A given eps is checked, as
+    clip_to_pd checks it, whatever the mode.
     """
+    if eps is not None:
+        eps = _check_floor(eps)
     if mode == "none":
         return estimate
     if mode == "semidefinite":
-        kernels = tuple(clip_to_psd(k) for k in estimate.kernels)
+        floor = 0.0
     elif mode == "definite":
         if eps is None:
             raise DomainError("mode 'definite' needs an eigenvalue floor eps")
-        kernels = tuple(clip_to_pd(k, eps) for k in estimate.kernels)
+        floor = eps
     else:
         raise DomainError(f"unknown psd mode {mode!r}")
-    return SpectralEstimate(estimate.frequencies, kernels, estimate.bandwidth,
-                            estimate.kernel_id, estimate.method)
+    block = np.empty_like(estimate.matrices)
+    for out, kernel in zip(block, estimate.kernels):
+        out[...] = _clip(kernel, floor)
+    return dataclasses.replace(estimate, matrices=block)

@@ -18,11 +18,9 @@ import numpy as np
 from .core import (
     DimensionError,
     DomainError,
-    FrequencyKernel,
     FunctionalSeries,
     Grid,
     SpectralEstimate,
-    _check_kernels,
     _readonly,
     center,
     write_csv,
@@ -30,9 +28,7 @@ from .core import (
 )
 from .bandwidth import _bandwidth_from_q, select_bandwidth
 from .estimator import (
-    DEFAULT_FREQUENCIES,
     METHOD_SMOOTHED,
-    _as_estimate,
     _estimate_specs,
     _frequencies,
     _lag_sum,
@@ -151,18 +147,12 @@ def true_spectrum(model: Fma1Model, frequencies=None) -> SpectralEstimate:
     SpectralEstimate with bandwidth 0.0 (no smoothing), kernel_id "truth"
     and method "closed-form", so it carries the checks of every estimate."""
     frequencies = _frequencies(frequencies)
-    return SpectralEstimate(frequencies, map(FrequencyKernel, _truth_block(model, frequencies)),
-                            0.0, "truth", "closed-form")
-
-
-def _truth_block(model: Fma1Model, frequencies) -> np.ndarray:
-    """true_spectrum's matrices at the checked frequencies as one checked
-    (n_frequencies, d, d) block."""
     psi = basis_matrix(model.grid)
     b0, b1 = psi @ model.a0, psi @ model.a1
     c0 = (b0 * ETA) @ b0.T + (b1 * ETA) @ b1.T
     c1 = (b1 * ETA) @ b0.T
-    return _check_kernels(_lag_sum(np.stack([c0, c1]), np.ones(2), frequencies))
+    block = _lag_sum(np.stack([c0, c1]), np.ones(2), frequencies)
+    return SpectralEstimate(frequencies, block, 0.0, "truth", "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +167,9 @@ def imse_frequency_weights(frequencies) -> np.ndarray:
     f(-omega) = conj(f(omega)) makes twice the half circle. On the default
     grid this is (pi/10) per point."""
     f = np.asarray(frequencies, dtype=float)
-    if not (f.ndim == 1 and f.size and np.allclose(
-            f, np.pi * np.arange(f.size) / f.size, rtol=1e-9, atol=0.0)):
+    grid = np.pi * np.arange(f.size) / f.size
+    # every comparison with a NaN is false, so a NaN frequency is refused too
+    if not (f.ndim == 1 and f.size and np.all(np.abs(f - grid) <= 1e-9 * grid)):
         raise DomainError("IMSE frequencies must be the grid pi * j / n, "
                           f"j = 0..n-1, which covers [0, pi), got {f.tolist()}")
     h = float(f[1] - f[0]) if f.size > 1 else np.pi
@@ -187,37 +178,31 @@ def imse_frequency_weights(frequencies) -> np.ndarray:
     return 2.0 * w
 
 
-def imse_from_estimate(estimate, truth: SpectralEstimate) -> float:
+def imse_from_estimate(estimate: SpectralEstimate, truth: SpectralEstimate) -> float:
     """Weighted squared Hilbert-Schmidt distance between an estimate and the
-    truth over the frequency grid; DimensionError unless both are on the
-    same frequencies with kernels of one size."""
+    truth over the frequency grid, sum_j w_j * ||f_j - truth_j||_HS^2, the
+    squared HS norm of a d x d matrix being its squared Frobenius norm over
+    d^2; DimensionError unless both are on the same frequencies with
+    matrices of one size."""
     if not np.array_equal(estimate.frequencies, truth.frequencies):
         raise DimensionError(
             f"estimate and truth are on different frequencies: "
             f"{estimate.frequencies.tolist()} vs {truth.frequencies.tolist()}")
     weights = imse_frequency_weights(estimate.frequencies)
-    block = np.array([k.matrix for k in estimate.kernels])
-    truth_block = np.array([k.matrix for k in truth.kernels])
-    if block.shape != truth_block.shape:
-        raise DimensionError(f"kernel shapes differ: {block.shape[1:]} vs "
-                             f"{truth_block.shape[1:]}")
-    return _block_imse(block, truth_block, weights)
-
-
-def _block_imse(block: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> float:
-    """sum_j w_j * ||block_j - truth_j||_HS^2 over (n_frequencies, d, d)
-    blocks, the squared HS norm of a d x d matrix being its squared Frobenius
-    norm over d^2. Overwrites block with the difference."""
-    block -= truth
-    n, d = block.shape[0], block.shape[1]
-    diff = block.view(float).reshape(n, -1)
-    return float(weights @ np.einsum("jk,jk->j", diff, diff)) / d**2
+    if estimate.matrices.shape != truth.matrices.shape:
+        raise DimensionError(f"kernel shapes differ: {estimate.matrices.shape[1:]} vs "
+                             f"{truth.matrices.shape[1:]}")
+    # one frequency at a time, so no temporary of the whole block's size
+    diffs = ((e - t).view(float).ravel() for e, t in zip(estimate.matrices, truth.matrices))
+    squares = [np.einsum("k,k->", x, x) for x in diffs]
+    return float(weights @ squares) / estimate.matrices.shape[1] ** 2
 
 
 @dataclass(frozen=True)
 class ImseConfig:
     """Benchmark configuration; the defaults are the desk-scale run. Every
-    replication scores the estimates on the paper grid DEFAULT_FREQUENCIES."""
+    replication scores the estimates on the paper grid
+    estimator.DEFAULT_FREQUENCIES."""
 
     T_list: tuple = (64, 128, 256, 512, 1024)
     n_runs: int = 50
@@ -298,42 +283,32 @@ def resolve_bandwidths(mode, series: FunctionalSeries, specs) -> list:
     return [bandwidth] * len(specs)
 
 
-def _estimate_blocks(config: ImseConfig, series: FunctionalSeries, frequencies):
-    """The bandwidths the config's mode gives its kernel specs, in spec
-    order, and an iterator over the checked smoothed-estimate blocks of the
-    series at them, one at a time; each block equal to estimate_smoothed's
-    matrices, bit for bit. Every bandwidth is resolved before any estimate
-    is made, so a refused bandwidth fails first; the series is then centered
-    once, and the blocks share one lag stack."""
-    bandwidths = resolve_bandwidths(config.bandwidth_mode, series, config.kernel_specs)
-    return bandwidths, _estimate_specs(center(series).values, config.kernel_specs,
-                                       bandwidths, frequencies, METHOD_SMOOTHED)
-
-
 def _estimates(config: ImseConfig, series: FunctionalSeries, frequencies=None):
-    """_estimate_blocks' blocks as the smoothed estimates of the config's
-    kernel specs, in spec order, one at a time."""
+    """An iterator over the smoothed estimates of the series by the config's
+    kernel specs, in spec order, at the bandwidths its mode gives them, one
+    at a time; each equal to estimate_smoothed's, bit for bit. Every
+    bandwidth is resolved before any estimate is made, so a refused
+    bandwidth fails first; the series is then centered once, and the
+    estimates share one lag stack."""
     frequencies = _frequencies(frequencies)
-    bandwidths, blocks = _estimate_blocks(config, series, frequencies)
-    return (_as_estimate(block, frequencies, spec, bandwidth, METHOD_SMOOTHED)
-            for spec, bandwidth, block in zip(config.kernel_specs, bandwidths, blocks))
+    bandwidths = resolve_bandwidths(config.bandwidth_mode, series, config.kernel_specs)
+    return _estimate_specs(center(series).values, config.kernel_specs, bandwidths,
+                           frequencies, METHOD_SMOOTHED)
 
 
 def _run_replication(config: ImseConfig, task) -> list:
     """One (T, replication) cell: simulate from the task's generator stream,
     estimate with every kernel spec of the config, and return the IMSE of
-    each against the replication's own truth, in spec order. The truth is
-    one block, and each estimate block is scored as it comes."""
+    each against the replication's own truth, in spec order. The series is
+    let go once the estimates' shared work is done, and each estimate once
+    it is scored, so one estimate is alive at a time."""
     T, seed_ss, operators = task
     rng = np.random.default_rng(seed_ss)
     a0, a1 = _draw_operators(rng) if operators is None else operators
     model = Fma1Model(a0, a1, Grid(config.d))
-    series = generate_fma1(model, T, rng=rng)
-    truth = _truth_block(model, DEFAULT_FREQUENCIES)
-    _, blocks = _estimate_blocks(config, series, DEFAULT_FREQUENCIES)
-    score = functools.partial(_block_imse, truth=truth,
-                              weights=imse_frequency_weights(DEFAULT_FREQUENCIES))
-    return list(map(score, blocks))  # map lets go of each block once it is scored
+    estimates = _estimates(config, generate_fma1(model, T, rng=rng))
+    score = functools.partial(imse_from_estimate, truth=true_spectrum(model))
+    return list(map(score, estimates))
 
 
 def imse_experiment(config: ImseConfig) -> list:

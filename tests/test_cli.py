@@ -219,6 +219,8 @@ class TestExitCodes:
         ["estimate", "--kernel", '{{"family":"TR","c":"0.4"}}'],
         ["estimate", "--psd", "definite", "--eps", "nan"],
         ["estimate", "--psd", "definite", "--eps", "inf"],
+        ["estimate", "--psd", "none", "--eps", "-1"],
+        ["estimate", "--psd", "semidefinite", "--eps", "nan"],
         ["bandwidth", "--C0", "nan"],
         ["bandwidth", "--C0", "inf"],
         ["estimate", "--kernel", "EPA", "--frequencies", "0.1,inf"],
@@ -227,8 +229,9 @@ class TestExitCodes:
     ], ids=["simulate-T1", "bench-2rate-above-1", "bench-parallel-0", "kernel-c-null",
             "kernel-c-overflow", "kernel-c-nan", "kernel-b-nan", "kernel-b-overflow",
             "kernel-c-bool", "kernel-c-string",
-            "eps-nan", "eps-inf", "C0-nan", "C0-inf", "EPA-frequency-inf",
-            "EPA-frequency-nan", "TR-frequency-inf"])
+            "eps-nan", "eps-inf", "eps-negative-psd-none", "eps-nan-semidefinite",
+            "C0-nan", "C0-inf", "EPA-frequency-inf", "EPA-frequency-nan",
+            "TR-frequency-inf"])
     def test_out_of_range_parameter_is_config_error(self, tmp_path, data_csv, args):
         if args[0] in ("estimate", "bandwidth"):
             args = args + ["--input", str(data_csv), "--out", "{tmp}/x"]

@@ -200,12 +200,23 @@ class TestKernelBlockCheck:
         assert np.array_equal(block, before)
         assert core._check_kernels(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4, 4)
 
+    @pytest.mark.parametrize("bad, error", [(np.nan, NumericError), (1e-8j, DomainError)],
+                             ids=["non-finite", "non-Hermitian"])
+    def test_estimate_raises_what_a_kernel_raises(self, rng, bad, error):
+        block = self.block(rng)
+        block[1, 0, 3] += bad * np.max(np.abs(block[1]))
+        with pytest.raises(error) as kernel:
+            FrequencyKernel(block[1])
+        with pytest.raises(error) as estimate:
+            SpectralEstimate(np.array([0.0, 0.5, 1.0]), block, 0.5, "TR", "lag-window")
+        assert str(estimate.value) == str(kernel.value)
+
 
 class TestSpectralEstimate:
     def test_rejects_unsorted_frequencies(self, rng):
-        ks = tuple(FrequencyKernel(np.eye(2)) for _ in (0.2, 0.1))
         with pytest.raises(DomainError):
-            SpectralEstimate(np.array([0.2, 0.1]), ks, 0.5, "TR", "lag-window")
+            SpectralEstimate(np.array([0.2, 0.1]), np.stack([np.eye(2)] * 2), 0.5, "TR",
+                             "lag-window")
 
     @pytest.mark.parametrize("frequencies", [[np.nan], [0.1, np.nan], [2 * np.pi],
                                              [0.1, 7.0], [-0.1], [0.1, np.inf]],
@@ -213,18 +224,40 @@ class TestSpectralEstimate:
                                   "negative", "infinite"])
     def test_rejects_frequencies_outside_range(self, frequencies):
         # the estimate alone holds the frequencies: its kernels carry none
-        ks = tuple(FrequencyKernel(np.eye(2)) for _ in frequencies)
+        block = np.stack([np.eye(2)] * len(frequencies))
         with pytest.raises(DomainError):
-            SpectralEstimate(np.array(frequencies), ks, 0.5, "TR", "lag-window")
+            SpectralEstimate(np.array(frequencies), block, 0.5, "TR", "lag-window")
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionError):
             SpectralEstimate(np.array([0.1]), (), 0.5, "TR", "lag-window")
 
+    @pytest.mark.parametrize("as_list", [False, True], ids=["block", "list"])
+    def test_matrices_are_one_read_only_block(self, rng, as_list):
+        freqs = np.array([0.0, 0.5, 1.0])
+        block = np.stack([random_hermitian(rng, 4) for _ in freqs])
+        est = SpectralEstimate(freqs, list(block) if as_list else block, 0.5, "TR",
+                               "lag-window")
+        assert est.matrices.shape == (3, 4, 4)
+        assert est.matrices.dtype == complex
+        assert not est.matrices.flags.writeable
+        with pytest.raises(ValueError):
+            est.matrices[0, 0, 0] = 1.0
+        assert est.matrices.tobytes() == block.tobytes()
+        # kernels are views of the rows, not copies
+        assert len(est.kernels) == 3
+        for j, k in enumerate(est.kernels):
+            assert k.matrix.tobytes() == est.matrices[j].tobytes()
+            assert np.shares_memory(k.matrix, est.matrices[j])
+
+    def test_rejects_non_square_matrices(self):
+        with pytest.raises(DimensionError, match=r"must be square, got shape \(2, 3\)"):
+            SpectralEstimate(np.array([0.1]), np.zeros((1, 2, 3)), 0.5, "TR", "lag-window")
+
     def test_rejects_mixed_kernel_sizes(self):
-        ks = (FrequencyKernel(np.eye(2)), FrequencyKernel(np.eye(3)))
+        matrices = (np.eye(2), np.eye(3))
         with pytest.raises(DimensionError, match=r"kernel shapes differ: \[\(2, 2\), \(3, 3\)\]"):
-            SpectralEstimate(np.array([0.1, 0.2]), ks, 0.5, "TR", "lag-window")
+            SpectralEstimate(np.array([0.1, 0.2]), matrices, 0.5, "TR", "lag-window")
 
 
 class TestSerialization:
@@ -267,8 +300,8 @@ class TestSerialization:
 
     def test_estimate_json_roundtrip(self, rng):
         freqs = np.array([0.0, 0.5, 1.0])
-        kernels = tuple(FrequencyKernel(random_hermitian(rng, 3)) for _ in freqs)
-        est = SpectralEstimate(freqs, kernels, 0.25, "TR(c=0.5)", "lag-window")
+        block = np.stack([random_hermitian(rng, 3) for _ in freqs])
+        est = SpectralEstimate(freqs, block, 0.25, "TR(c=0.5)", "lag-window")
         obj = json.loads(json.dumps(estimate_to_json_dict(est)))
         back = estimate_from_json_dict(obj)
         assert np.array_equal(back.frequencies, est.frequencies)
@@ -297,10 +330,17 @@ class TestSerialization:
         obj["kernels"][1] = core.matrix_to_json_dict(random_hermitian(rng, 2))
         assert [k.d for k in estimate_from_json_dict(obj).kernels] == [2, 2]
 
+    def test_empty_estimate_json_roundtrip(self):
+        obj = {"frequencies": [], "kernels": [], "bandwidth": 0.5, "kernel_id": "TR(c=0.5)",
+               "method": "lag-window"}
+        est = estimate_from_json_dict(obj)
+        assert est.matrices.shape == (0, 0, 0) and est.kernels == ()
+        assert estimate_to_json_dict(est) == obj
+
     def test_estimate_csv_dir_roundtrip(self, rng, tmp_path):
         freqs = np.array([0.1, 0.9])
-        kernels = tuple(FrequencyKernel(random_hermitian(rng, 4)) for _ in freqs)
-        est = SpectralEstimate(freqs, kernels, 0.5, "PR(c=0.75)", "smoothed-periodogram")
+        block = np.stack([random_hermitian(rng, 4) for _ in freqs])
+        est = SpectralEstimate(freqs, block, 0.5, "PR(c=0.75)", "smoothed-periodogram")
         estimate_to_csv_dir(est, tmp_path / "est")
         assert read_json(tmp_path / "est" / "meta.json") == {
             "frequencies": [0.1, 0.9], "bandwidth": 0.5, "kernel_id": "PR(c=0.75)",
@@ -311,8 +351,8 @@ class TestSerialization:
             assert np.array_equal(real + 1j * imag, k.matrix)
 
     def test_estimate_csv_dir_missing_part_is_parse_error(self, rng, tmp_path):
-        est = SpectralEstimate(np.array([0.1]), (FrequencyKernel(random_hermitian(rng, 3)),),
-                               0.5, "TR(c=0.5)", "lag-window")
+        est = SpectralEstimate(np.array([0.1]), random_hermitian(rng, 3)[None], 0.5,
+                               "TR(c=0.5)", "lag-window")
         estimate_to_csv_dir(est, tmp_path / "est")
         (tmp_path / "est" / "freq_0000_im.csv").unlink()
         with pytest.raises(ParseError, match="freq_0000_im.csv"):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from ftspectra import (
     baseline_weight,
     center,
     epanechnikov,
+    estimate_from_json_dict,
     estimate_lagwindow,
     estimate_smoothed,
+    estimate_to_json_dict,
     fdft_all,
     flat_top_parzen,
     generate_fma1,
@@ -378,6 +382,21 @@ def test_bandwidth_checked_before_any_work(fma_series, monkeypatch, estimate, sp
     monkeypatch.setattr(estimator, "_fdft", no_work)
     with pytest.raises(DomainError, match="bandwidth"):
         estimate(fma_series, spec, bandwidth, frequencies)
+
+
+@pytest.mark.parametrize("estimate, spec", [(estimate_smoothed, epanechnikov()),
+                                            (estimate_smoothed, trapezoid()),
+                                            (estimate_lagwindow, trapezoid())],
+                         ids=["smoothed-EPA", "smoothed-TR", "lagwindow-TR"])
+def test_empty_frequency_grid_gives_an_empty_estimate(fma_series, estimate, spec):
+    est = estimate(fma_series, spec, 0.5, [])
+    assert est.matrices.shape == (0, fma_series.d, fma_series.d)
+    assert est.kernels == ()
+    obj = json.loads(json.dumps(estimate_to_json_dict(est)))
+    assert obj["kernels"] == [] and obj["frequencies"] == []
+    back = estimate_from_json_dict(obj)
+    assert back.frequencies.size == 0 and back.kernels == ()
+    assert estimate_to_json_dict(back) == obj
 
 
 @pytest.mark.parametrize("spec", [epanechnikov(), trapezoid()], ids=["EPA", "TR"])

@@ -179,3 +179,13 @@ class TestClipEstimate:
             clip_estimate(est, "definite")
         with pytest.raises(DomainError):
             clip_estimate(est, "banana")
+
+    @pytest.mark.parametrize("mode", ["none", "semidefinite", "definite"])
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, np.nan, np.inf])
+    def test_given_floor_checked_before_any_clip(self, mode, eps):
+        # an estimate without frequencies has no matrix to clip, and a bad
+        # floor is refused all the same, whatever the mode
+        series = generate_fma1(make_fma1_model(5, d=8), 32)
+        empty = estimate_smoothed(series, trapezoid(), 0.5, [])
+        with pytest.raises(DomainError, match="eigenvalue floor"):
+            clip_estimate(empty, mode, eps=eps)

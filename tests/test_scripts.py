@@ -7,7 +7,8 @@ import numpy as np
 
 from ftspectra.core import read_csv
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_export_kernel_shapes(tmp_path):
@@ -69,3 +70,17 @@ def test_bench_summary(tmp_path):
     assert reps["change_over_parent"] == 1.0
     assert reps["change_wins"] == "1 of 3 seed pairs"
     assert wl["metrics"]["setup_s"]["change_wins"] == "0 of 3 seed pairs"
+
+
+def test_perfbench_smoke_traces_every_span():
+    # a renamed or bypassed function leaves its span dark: perfbench then
+    # prints "not traced" for a missing name, or "= 0 s" for one never called
+    res = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"], cwd=ROOT,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert "selftest passed" in res.stdout
+    assert [line for line in lines if "not traced" in line] == []
+    for name in ("sim.true_spectrum_s", "sim.imse_s"):
+        span, = [line for line in lines if line.startswith("imse-mc") and f" {name} " in line]
+        assert "= 0 s" not in span, span

@@ -8,7 +8,6 @@ from ftspectra import (
     DimensionError,
     DomainError,
     Fma1Model,
-    FrequencyKernel,
     Grid,
     ImseConfig,
     SpectralEstimate,
@@ -46,10 +45,10 @@ def zero_ma(model):
 
 
 def estimate_and_truth(frequencies):
-    """An estimate and a truth on the frequencies, with the same kernels."""
-    kernels = tuple(FrequencyKernel(np.eye(2)) for _ in frequencies)
-    return (SpectralEstimate(frequencies, kernels, 0.5, "TR(c=0.5)", "smoothed-periodogram"),
-            SpectralEstimate(frequencies, kernels, 0.0, "truth", "closed-form"))
+    """An estimate and a truth on the frequencies, with the same matrices."""
+    block = np.tile(np.eye(2), (len(frequencies), 1, 1))
+    return (SpectralEstimate(frequencies, block, 0.5, "TR(c=0.5)", "smoothed-periodogram"),
+            SpectralEstimate(frequencies, block, 0.0, "truth", "closed-form"))
 
 
 class TestModel:
@@ -165,7 +164,8 @@ class TestTrueSpectrum:
         # it can no longer be built
         truth = true_spectrum(model, (0.0, np.pi / 2))
         with pytest.raises(DimensionError):
-            dataclasses.replace(truth, kernels=(truth.kernels * 2)[:n_kernels])
+            dataclasses.replace(truth,
+                                matrices=np.concatenate([truth.matrices] * 2)[:n_kernels])
 
     def test_white_noise_constant_in_omega(self, model):
         iid = zero_ma(model)
@@ -217,11 +217,14 @@ class TestTrueSpectrum:
 class TestImseExperiment:
     def test_truth_injection_gives_zero(self, monkeypatch):
         # an estimator that returns the truth scores exactly zero
-        def identity_block(*args):
-            return np.stack([np.eye(2, dtype=complex)] * 10)
+        def identity(bandwidth, kernel_id, method):
+            return SpectralEstimate(estimator.DEFAULT_FREQUENCIES, np.stack([np.eye(2)] * 10),
+                                    bandwidth, kernel_id, method)
 
-        monkeypatch.setattr(sim, "_truth_block", identity_block)
-        monkeypatch.setattr(sim, "_estimate_blocks", lambda *args: ([0.5], [identity_block()]))
+        monkeypatch.setattr(sim, "true_spectrum",
+                            lambda *args: identity(0.0, "truth", "closed-form"))
+        monkeypatch.setattr(sim, "_estimates", lambda *args: [
+            identity(0.5, "TR(c=0.5)", "smoothed-periodogram")])
         cfg = ImseConfig(T_list=(64,), n_runs=2, d=10,
                          kernel_specs=(trapezoid(),), seed=5)
         rows = imse_experiment(cfg)
