@@ -140,16 +140,27 @@ def _check_kernels(block: np.ndarray) -> np.ndarray:
     NumericError unless every entry is finite; DomainError unless every
     matrix is Hermitian within HERMITIAN_RTOL. The estimators build their
     matrices exactly Hermitian, so the residual is computed only for a block
-    that is not equal to its conjugate transpose."""
-    if not np.isfinite(block).all():
+    that is not equal to its conjugate transpose. Both tests read the block
+    through real views; a contiguous block is not copied."""
+    if not np.isfinite(np.ascontiguousarray(block).view(float)).all():
         raise NumericError("kernel matrix contains non-finite entries")
-    if not np.array_equal(block, block.conj().swapaxes(1, 2)):
+    if not _exactly_hermitian(block):
         for m in block:
             residual = hermitian_residual(m)
             if residual > HERMITIAN_RTOL:
                 raise DomainError(
                     f"matrix is not Hermitian (relative residual {residual:.3e})")
     return block
+
+
+def _exactly_hermitian(block: np.ndarray) -> bool:
+    """Whether the finite (n, d, d) complex block equals its conjugate
+    transpose entry by entry: the real part symmetric and the imaginary part
+    antisymmetric. For finite floats a + b == 0 exactly when a == -b, signed
+    zeros included."""
+    re, im = block.real, block.imag
+    return bool(np.array_equal(re, re.swapaxes(1, 2))
+                and not np.any(im + im.swapaxes(1, 2)))
 
 
 def hermitian_residual(m: np.ndarray) -> float:
@@ -391,8 +402,20 @@ def estimate_to_json_dict(est: SpectralEstimate) -> dict:
 
 
 def estimate_from_json_dict(obj: dict) -> SpectralEstimate:
+    """Read an estimate written by estimate_to_json_dict. The kernels are
+    parsed one at a time into one preallocated block; kernels of different
+    sizes are handed to SpectralEstimate as a list, which names the sizes."""
     try:
-        matrices = [matrix_from_json_dict(k) for k in obj["kernels"]]
+        kernels = obj["kernels"]
+        matrices = []
+        for i, kernel in enumerate(kernels):
+            m = matrix_from_json_dict(kernel)
+            if i == 0:
+                matrices = np.empty((len(kernels),) + m.shape, dtype=complex)
+            if m.shape != matrices.shape[1:]:
+                matrices = [matrix_from_json_dict(k) for k in kernels]
+                break
+            matrices[i] = m
         return SpectralEstimate(obj["frequencies"], matrices, float(obj["bandwidth"]),
                                 str(obj["kernel_id"]), str(obj["method"]))
     except (KeyError, TypeError, ValueError) as exc:

@@ -87,14 +87,24 @@ def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.
     at every frequency at once: (n_frequencies, d, d).
 
     Computed as A + A^H with A the one-sided sum (lag 0 at half weight), which
-    makes every matrix exactly Hermitian.
+    makes every matrix exactly Hermitian. The lags are real, so A = R + iS
+    comes from one real product of the real and imaginary rows of the phase
+    weights with the stack, and the block is written as
+    R + R^T + i(S - S^T), with no complex copy of the stack or of A.
     """
     n, d = stack.shape[0], stack.shape[1]
     w = lam[:n] / TWO_PI
     w[0] *= 0.5
-    phase = np.exp(-1j * np.outer(frequencies, np.arange(n))) * w
-    a = (phase @ stack.reshape(n, d * d)).reshape(-1, d, d)
-    return a + a.conj().transpose(0, 2, 1)
+    phase = np.exp(-1j * np.outer(np.arange(n), frequencies)) * w[:, None]
+    # lag-major weights make the left operand a transposed one, for which
+    # OpenBLAS sums each entry over the lags as the complex phase.T @ stack
+    # does: the same bits for two or more frequencies and up to 20 lags
+    rows = np.concatenate([phase.real, phase.imag], axis=1)
+    r, s = (rows.T @ stack.reshape(n, d * d)).reshape(2, -1, d, d)
+    block = np.empty(r.shape, dtype=complex)
+    np.add(r, r.swapaxes(1, 2), out=block.real)
+    np.subtract(s, s.swapaxes(1, 2), out=block.imag)
+    return block
 
 
 def _frequencies(frequencies) -> np.ndarray:
@@ -118,8 +128,9 @@ def _baseline_block(H, T, bandwidth, frequencies) -> np.ndarray:
     H holds the fDFT rows 0..T//2 of the centered series. A row s > T/2 is
     F_s = conj(H_(T-s)), so those terms add up to the conjugate of
     sum_r W(omega - 2*pi*(T-r)/T) H_r H_r^H over r = 1..(T-1)//2; the row
-    T/2 of an even T enters once. One weight row at a time, O(T) memory."""
-    H, H_conj = H[1:], H[1:].conj()
+    T/2 of an even T enters once. One weight row at a time, O(T) memory:
+    only the gathered rows are conjugated."""
+    H = H[1:]
     omegas = TWO_PI * np.arange(1, T) / T
     block = np.empty((len(frequencies), H.shape[1], H.shape[1]), dtype=complex)
     for m, w in zip(block, frequencies):
@@ -128,8 +139,8 @@ def _baseline_block(H, T, bandwidth, frequencies) -> np.ndarray:
         # r = 1..(T-1)//2, which are the ordinates s = T - r
         low, high = weights[: T // 2], weights[T // 2:][::-1]
         s, r = np.flatnonzero(low), np.flatnonzero(high)
-        m[...] = (H[s].T * low[s]) @ H_conj[s]
-        m += (H_conj[r].T * high[r]) @ H[r]
+        m[...] = (H[s].T * low[s]) @ H[s].conj()
+        m += (H[r].conj().T * high[r]) @ H[r]
     # (2*pi/T) * (m + m^H) / 2: exactly Hermitian
     block += block.conj().swapaxes(1, 2)
     block *= np.pi / T

@@ -31,6 +31,15 @@ def run_cli(*args, cwd=None):
                           capture_output=True, text=True, cwd=cwd)
 
 
+def test_import_leaves_out_the_process_pool():
+    # only bench --parallel uses the pool; its import costs every call
+    res = subprocess.run([sys.executable, "-c", "import sys, ftspectra.cli; "
+                          "print('concurrent.futures.process' in sys.modules)"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "data.csv"

@@ -211,6 +211,36 @@ class TestKernelBlockCheck:
             SpectralEstimate(np.array([0.0, 0.5, 1.0]), block, 0.5, "TR", "lag-window")
         assert str(estimate.value) == str(kernel.value)
 
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_exact_hermitian_test_is_the_conjugate_transpose_comparison(self, data):
+        # a Hermitian block drawn from finite floats and signed zeros, then a
+        # few entries of either part moved by one ulp, negated or given the
+        # other zero sign; the view test agrees with the complex comparison
+        n, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        finite = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                           st.floats(-4.0, 4.0),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        parts = np.array(data.draw(st.lists(finite, min_size=2 * n * d * d,
+                                            max_size=2 * n * d * d))).reshape(2, n, d, d)
+        re, im = parts
+        re = np.triu(re) + np.triu(re, 1).swapaxes(1, 2)
+        im = np.triu(im, 1) - np.triu(im, 1).swapaxes(1, 2)
+        block = np.empty((n, d, d), dtype=complex)
+        block.real, block.imag = re, im
+        moves = {"ulp-up": lambda x: np.nextafter(x, np.inf),
+                 "ulp-down": lambda x: np.nextafter(x, -np.inf),
+                 "negate": np.negative,
+                 "zero-sign": lambda x: np.copysign(0.0, -np.copysign(1.0, x))}
+        for _ in range(data.draw(st.integers(0, 3))):
+            part = block.real if data.draw(st.booleans()) else block.imag
+            index = tuple(data.draw(st.integers(0, size - 1)) for size in (n, d, d))
+            moved = moves[data.draw(st.sampled_from(sorted(moves)))](part[index])
+            if np.isfinite(moved):
+                part[index] = moved
+        assert core._exactly_hermitian(block) == np.array_equal(
+            block, block.conj().swapaxes(1, 2))
+
 
 class TestSpectralEstimate:
     def test_rejects_unsorted_frequencies(self, rng):
@@ -325,8 +355,14 @@ class TestSerialization:
                "method": "lag-window",
                "kernels": [core.matrix_to_json_dict(random_hermitian(rng, d))
                            for d in (2, 3)]}
-        with pytest.raises(DimensionError, match="kernel shapes differ"):
+        with pytest.raises(DimensionError) as mixed:
             estimate_from_json_dict(obj)
+        assert str(mixed.value) == "kernel shapes differ: [(2, 2), (3, 3)]"
+        # every kernel is parsed before the sizes are compared
+        obj["kernels"].append({"re": [[1.0]]})
+        with pytest.raises(ParseError, match="bad complex-matrix JSON"):
+            estimate_from_json_dict(obj)
+        del obj["kernels"][2]
         obj["kernels"][1] = core.matrix_to_json_dict(random_hermitian(rng, 2))
         assert [k.d for k in estimate_from_json_dict(obj).kernels] == [2, 2]
 

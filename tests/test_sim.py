@@ -339,23 +339,26 @@ class TestImseExperiment:
 
     def test_block_imse_is_the_weighted_hs_sum(self):
         # a replication's block scores and imse_from_estimate against the
-        # per-kernel sum of w_j * hs_distance^2, for every default kernel
-        T, d, seed = 256, 20, np.random.SeedSequence(8)
-        config = ImseConfig(T_list=(T,), d=d)
-        imses = sim._run_replication(config, (T, seed, None))
-        rng = np.random.default_rng(seed)
-        model = Fma1Model(*sim._draw_operators(rng), Grid(d))
-        series = generate_fma1(model, T, rng=rng)
-        truth = true_spectrum(model)
-        w = imse_frequency_weights(truth.frequencies)
-        assert len(imses) == len(config.kernel_specs)
-        for spec, imse in zip(config.kernel_specs, imses):
-            est = estimate_smoothed(series, spec, T ** -0.2)
-            expected = sum(wi * hs_distance(a, b) ** 2
-                           for wi, a, b in zip(w, est.kernels, truth.kernels))
-            assert imse == pytest.approx(expected, rel=1e-14, abs=0.0)
-            assert imse_from_estimate(est, truth) == pytest.approx(expected, rel=1e-14,
-                                                                   abs=0.0)
+        # per-kernel sum of w_j * hs_distance^2, for every default kernel;
+        # at d = 100 each frequency's 2 d^2 squares are summed in chunks
+        T = 256
+        for d in (20, 100):
+            seed = np.random.SeedSequence(8)
+            config = ImseConfig(T_list=(T,), d=d)
+            imses = sim._run_replication(config, (T, seed, None))
+            rng = np.random.default_rng(seed)
+            model = Fma1Model(*sim._draw_operators(rng), Grid(d))
+            series = generate_fma1(model, T, rng=rng)
+            truth = true_spectrum(model)
+            w = imse_frequency_weights(truth.frequencies)
+            assert len(imses) == len(config.kernel_specs)
+            for spec, imse in zip(config.kernel_specs, imses):
+                est = estimate_smoothed(series, spec, T ** -0.2)
+                expected = sum(wi * hs_distance(a, b) ** 2
+                               for wi, a, b in zip(w, est.kernels, truth.kernels))
+                assert imse == pytest.approx(expected, rel=1e-14, abs=0.0)
+                assert imse_from_estimate(est, truth) == pytest.approx(
+                    expected, rel=1e-14, abs=0.0)
 
     def test_imse_rejects_other_kernel_size(self, model):
         est = estimate_smoothed(generate_fma1(model, 128), trapezoid(), 128 ** -0.2)
