@@ -284,14 +284,26 @@ def read_json(path) -> dict:
 
 def write_csv(path, rows) -> None:
     """Write rows in the csv module's default dialect. Floats are written as
-    repr(float(v)), which round-trips exactly; other cells as csv writes them."""
+    repr(float(v)), which round-trips exactly; other cells as csv writes them.
+
+    A row of float64 cells only (a 1-D float64 array, or Python floats and
+    np.float64 scalars) is joined directly, one row at a time: csv writes
+    such a cell as its repr and never quotes it, so the bytes are the same."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in rows:
-            # an array row formats faster as Python floats than as numpy scalars
-            cells = row.tolist() if isinstance(row, np.ndarray) else row
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                             for v in cells])
+            if isinstance(row, np.ndarray):
+                # an array row formats faster as Python floats than as numpy scalars
+                cells = row.tolist()
+                floats = row.dtype == np.float64 and row.ndim == 1
+            else:
+                cells = list(row)
+                floats = all(isinstance(v, float) for v in cells)
+            if floats:
+                fh.write(",".join(map(float.__repr__, cells)) + "\r\n")
+            else:
+                writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                                 else v for v in cells])
 
 
 def read_csv(path, header: bool):

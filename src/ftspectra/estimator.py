@@ -132,8 +132,8 @@ def _baseline_block(H, T, bandwidth, frequencies) -> np.ndarray:
     only the gathered rows are conjugated."""
     H = H[1:]
     omegas = TWO_PI * np.arange(1, T) / T
-    block = np.empty((len(frequencies), H.shape[1], H.shape[1]), dtype=complex)
-    for m, w in zip(block, frequencies):
+    acc = np.empty((len(frequencies), H.shape[1], H.shape[1]), dtype=complex)
+    for m, w in zip(acc, frequencies):
         weights = baseline_weight(bandwidth, w - omegas)
         # low weighs the fDFT rows s = 1..T//2; high the conjugates of rows
         # r = 1..(T-1)//2, which are the ordinates s = T - r
@@ -141,8 +141,11 @@ def _baseline_block(H, T, bandwidth, frequencies) -> np.ndarray:
         s, r = np.flatnonzero(low), np.flatnonzero(high)
         m[...] = (H[s].T * low[s]) @ H[s].conj()
         m += (H[r].conj().T * high[r]) @ H[r]
-    # (2*pi/T) * (m + m^H) / 2: exactly Hermitian
-    block += block.conj().swapaxes(1, 2)
+    # (2*pi/T) * (m + m^H) / 2: exactly Hermitian, written as re + re^T and
+    # im - im^T as in _lag_sum, with no conjugate copy of acc
+    block = np.empty_like(acc)
+    np.add(acc.real, acc.real.swapaxes(1, 2), out=block.real)
+    np.subtract(acc.imag, acc.imag.swapaxes(1, 2), out=block.imag)
     block *= np.pi / T
     return block
 

@@ -8,7 +8,6 @@ available in closed form, which provides the benchmark's ground truth.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
 from dataclasses import asdict, dataclass
@@ -329,7 +328,10 @@ def imse_experiment(config: ImseConfig) -> list:
 
     run = functools.partial(_run_replication, config)
     if config.n_jobs > 1:
-        # looked up here: importing the process pool costs every CLI call ~15 ms
+        # imported here: concurrent.futures pulls in logging, ~5 ms on every
+        # CLI call that never starts a pool
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
             results = list(pool.map(run, tasks, chunksize=4))
     else:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -411,14 +412,49 @@ class TestSerialization:
             read_csv(path, header=False)
 
 
-def _random_float_rows():
-    # repr'd floats over the whole exponent range, subnormals, and values
-    # that need all 17 significant digits
+def _random_float_values():
+    # floats over the whole exponent range, subnormals, and values that need
+    # all 17 significant digits
     rng = np.random.default_rng(5)
     values = rng.standard_normal((20, 3)) * 10.0 ** rng.integers(-300, 300, (20, 3))
     values[0] = [5e-324, 2.2250738585072014e-308 / 3, -1.7976931348623157e308]
     values[1] = [0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0]
-    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)
+    return values
+
+
+def _random_float_rows():
+    return "".join(",".join(repr(float(v)) for v in row) + "\n"
+                   for row in _random_float_values())
+
+
+_HEADER = ["omega", "a,b", 'say "hi"']
+_FLOATS = np.vstack([_random_float_values(), [[-0.0, np.nan, np.inf], [-np.inf, 0.0, -1.5]]])
+WRITE_CSV_CASES = {
+    "array-rows": [_HEADER, *_FLOATS],
+    "block": _FLOATS,
+    "block-real-part": (_FLOATS + 1j).real,
+    "np-float64-lists": [_HEADER] + [[np.float64(v) for v in row] for row in _FLOATS],
+    "python-and-np-float64": [_HEADER] + [[float(row[0]), *row[1:]] for row in _FLOATS],
+    "float32-row": [_HEADER, np.array([0.1, -0.0, np.nan, np.inf, 1e-40], dtype=np.float32)],
+    "mixed-cells": [_HEADER, ["EPA", 64, 0.5, np.float32(0.1), True]],
+}
+
+
+@pytest.mark.parametrize("name", list(WRITE_CSV_CASES))
+def test_write_csv_same_bytes_as_csv_module(tmp_path, name):
+    # write_csv joins all-float64 rows itself; the bytes must be csv.writer's
+    # on the repr'd cells, with the header still quoted
+    rows = WRITE_CSV_CASES[name]
+    write_csv(tmp_path / "fast.csv", rows)
+    with open(tmp_path / "csv.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                             for v in row])
+    written = (tmp_path / "fast.csv").read_bytes()
+    assert written == (tmp_path / "csv.csv").read_bytes()
+    if rows[0] is _HEADER:
+        assert written.startswith(b'omega,"a,b","say ""hi"""\r\n')
 
 
 CSV_CASES = {
