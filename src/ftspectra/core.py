@@ -170,9 +170,12 @@ def hermitian_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)) / scale) if scale > 0.0 else 0.0
 
 
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Symmetrize a numerically-Hermitian matrix so the symmetry is exact."""
-    return 0.5 * (m + m.conj().T)
+def _hermitian_sum(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """A + A^H, A = re + i*im a (..., d, d) stack, as re + re^T + i(im - im^T)."""
+    block = np.empty(re.shape, dtype=complex)
+    np.add(re, re.swapaxes(-1, -2), out=block.real)
+    np.subtract(im, im.swapaxes(-1, -2), out=block.imag)
+    return block
 
 
 def hs_norm(kernel: FrequencyKernel) -> float:

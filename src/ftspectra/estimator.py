@@ -15,6 +15,7 @@ from .core import (
     DomainError,
     FunctionalSeries,
     SpectralEstimate,
+    _hermitian_sum,
     center,
     check_frequencies,
 )
@@ -89,8 +90,7 @@ def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.
     Computed as A + A^H with A the one-sided sum (lag 0 at half weight), which
     makes every matrix exactly Hermitian. The lags are real, so A = R + iS
     comes from one real product of the real and imaginary rows of the phase
-    weights with the stack, and the block is written as
-    R + R^T + i(S - S^T), with no complex copy of the stack or of A.
+    weights with the stack, with no complex copy of the stack or of A.
     """
     n, d = stack.shape[0], stack.shape[1]
     w = lam[:n] / TWO_PI
@@ -100,11 +100,7 @@ def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.
     # OpenBLAS sums each entry over the lags as the complex phase.T @ stack
     # does: the same bits for two or more frequencies and up to 20 lags
     rows = np.concatenate([phase.real, phase.imag], axis=1)
-    r, s = (rows.T @ stack.reshape(n, d * d)).reshape(2, -1, d, d)
-    block = np.empty(r.shape, dtype=complex)
-    np.add(r, r.swapaxes(1, 2), out=block.real)
-    np.subtract(s, s.swapaxes(1, 2), out=block.imag)
-    return block
+    return _hermitian_sum(*(rows.T @ stack.reshape(n, d * d)).reshape(2, -1, d, d))
 
 
 def _frequencies(frequencies) -> np.ndarray:
@@ -141,11 +137,8 @@ def _baseline_block(H, T, bandwidth, frequencies) -> np.ndarray:
         s, r = np.flatnonzero(low), np.flatnonzero(high)
         m[...] = (H[s].T * low[s]) @ H[s].conj()
         m += (H[r].conj().T * high[r]) @ H[r]
-    # (2*pi/T) * (m + m^H) / 2: exactly Hermitian, written as re + re^T and
-    # im - im^T as in _lag_sum, with no conjugate copy of acc
-    block = np.empty_like(acc)
-    np.add(acc.real, acc.real.swapaxes(1, 2), out=block.real)
-    np.subtract(acc.imag, acc.imag.swapaxes(1, 2), out=block.imag)
+    # (2*pi/T) * (m + m^H) / 2, exactly Hermitian
+    block = _hermitian_sum(acc.real, acc.imag)
     block *= np.pi / T
     return block
 

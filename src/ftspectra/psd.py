@@ -14,7 +14,7 @@ from .core import (
     FrequencyKernel,
     NumericError,
     SpectralEstimate,
-    hermitize,
+    _hermitian_sum,
 )
 
 __all__ = [
@@ -31,18 +31,28 @@ def eigendecompose(kernel: FrequencyKernel) -> tuple[np.ndarray, np.ndarray]:
     eigenvector columns of the Hermitian kernel matrix. Clipping acts on
     these raw matrix eigenvalues; positive scaling by quadrature weights
     commutes with clipping, so nothing is lost by not weighting."""
-    try:
-        w, v = np.linalg.eigh(kernel.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    w, v = _eig(np.linalg.eigh, kernel.matrix)
     return w[::-1], v[:, ::-1]
 
 
-def _clip(kernel: FrequencyKernel, floor: float) -> np.ndarray:
-    """The kernel matrix with its eigenvalues floored at floor, exactly
-    Hermitian."""
-    w, v = eigendecompose(kernel)
-    return hermitize((v * np.maximum(w, floor)) @ v.conj().T)
+def _eig(solver, matrices):
+    """solver, eigh or eigvalsh, on a Hermitian stack; NumericError if it fails."""
+    try:
+        return solver(matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _clip(block: np.ndarray, floor: float) -> np.ndarray:
+    """A (..., d, d) Hermitian stack with each matrix's eigenvalues floored."""
+    w, v = _eig(np.linalg.eigh, block)
+    v = v[..., ::-1]  # descending, as eigendecompose
+    m = v * np.maximum(w[..., ::-1], floor)[..., None, :]
+    v = v.conj()  # drops the eigh output: the product holds three blocks, not four
+    m = m @ v.swapaxes(-1, -2)
+    m = _hermitian_sum(m.real, m.imag)
+    m *= 0.5
+    return m
 
 
 def _check_floor(eps) -> float:
@@ -57,22 +67,19 @@ def clip_to_psd(kernel: FrequencyKernel) -> FrequencyKernel:
     """Replace negative eigenvalues by zero: the Frobenius-norm projection of
     the Hermitian matrix onto the positive semi-definite cone. Idempotent and
     a fixed point on inputs that are already PSD."""
-    return FrequencyKernel(_clip(kernel, 0.0))
+    return FrequencyKernel(_clip(kernel.matrix, 0.0))
 
 
 def clip_to_pd(kernel: FrequencyKernel, eps: float) -> FrequencyKernel:
     """Floor all eigenvalues at a finite eps > 0, producing a strictly
     positive definite matrix; differs from the PSD clip by at most eps per
     clipped eigenvalue. A floor of order 1/T keeps the estimator's accuracy."""
-    return FrequencyKernel(_clip(kernel, _check_floor(eps)))
+    return FrequencyKernel(_clip(kernel.matrix, _check_floor(eps)))
 
 
 def min_eigenvalue(kernel: FrequencyKernel) -> float:
     """Smallest eigenvalue of the Hermitian kernel matrix."""
-    try:
-        return float(np.linalg.eigvalsh(kernel.matrix)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    return float(_eig(np.linalg.eigvalsh, kernel.matrix)[0])
 
 
 def clip_estimate(estimate: SpectralEstimate, mode: str,
@@ -95,7 +102,4 @@ def clip_estimate(estimate: SpectralEstimate, mode: str,
         floor = eps
     else:
         raise DomainError(f"unknown psd mode {mode!r}")
-    block = np.empty_like(estimate.matrices)
-    for out, kernel in zip(block, estimate.kernels):
-        out[...] = _clip(kernel, floor)
-    return dataclasses.replace(estimate, matrices=block)
+    return dataclasses.replace(estimate, matrices=_clip(estimate.matrices, floor))

@@ -34,6 +34,7 @@ from ftspectra.estimator import (
     _flat_top_lags,
     _lag_sum,
 )
+from ftspectra.kernels import baseline_weight, lag_weights
 from ftspectra.psd import clip_to_psd
 from ftspectra.sim import DEFAULT_KERNELS
 
@@ -162,6 +163,55 @@ def test_smoothed_minus_lag_window_is_the_wrap_lag_sum(T):
             expected = _lag_sum(wrap[: lam.size], lam, DEFAULT_FREQUENCIES)
             scale = np.abs(sm).max()
             assert np.abs((sm - lw) - expected).max() <= 1e-13 * scale, (spec, bandwidth)
+
+
+@pytest.mark.parametrize("T", [5, 8, 9])
+def test_every_estimate_is_a_quadratic_form_in_the_series(T):
+    """Every estimate is sum_{t,s} K[t,s] X_t X_s^T = X^T K X in the raw
+    series, with K = P M P, P = I - 11^T/T the centering and M the weight
+    matrix of the estimator, here in u = t - s:
+    - smoothed flat-top: (2*pi*T)^-1 sum lam(B v) e^(-i omega v) over the
+      |v| <= L with v = u (mod T), which covers L >= T;
+    - EPA: T^-2 sum_{r=1}^{T-1} W(omega - omega_r) e^(-i omega_r u),
+      omega_r = 2*pi*r/T;
+    - lag window: (2*pi*T)^-1 lam(B u) e^(-i omega u), a Toeplitz matrix."""
+    series = generate_fma1(make_fma1_model(T, d=2), T)
+    X = series.values
+    frequencies = np.array([0.0, 0.7, 3.0])
+    u = np.subtract.outer(np.arange(T), np.arange(T))
+    P = np.eye(T) - 1.0 / T
+    omegas = 2 * np.pi * np.arange(1, T) / T
+
+    def smoothed(spec, bandwidth, omega):
+        if not spec.is_flat_top:
+            weights = baseline_weight(bandwidth, omega - omegas)
+            return (weights * np.exp(-1j * omegas * u[..., None])).sum(axis=-1) / T**2
+        lam = lag_weights(spec, bandwidth)
+        v = np.arange(1 - lam.size, lam.size)
+        column = np.zeros(T, dtype=complex)
+        np.add.at(column, v % T, lam[np.abs(v)] * np.exp(-1j * omega * v))
+        return column[u % T] / (2 * np.pi * T)
+
+    def lagwindow(spec, bandwidth, omega):
+        lam = np.zeros(T)
+        weights = lag_weights(spec, bandwidth)[:T]
+        lam[: weights.size] = weights
+        return lam[np.abs(u)] * np.exp(-1j * omega * u) / (2 * np.pi * T)
+
+    for spec in DEFAULT_KERNELS:
+        for estimator, weight_matrix in ((estimate_smoothed, smoothed),
+                                         (estimate_lagwindow, lagwindow)):
+            if estimator is estimate_lagwindow and not spec.is_flat_top:
+                continue
+            for bandwidth in (0.2, 0.5, 1.0):
+                est = estimator(series, spec, bandwidth, frequencies).matrices
+                expected = [X.T @ (P @ weight_matrix(spec, bandwidth, omega) @ P) @ X
+                            for omega in frequencies]
+                # EPA's weights can all vanish on a coarse grid: then both
+                # sides are zero and the check is absolute
+                scale = np.abs(est).max() or 1.0
+                assert np.abs(est - expected).max() <= 1e-12 * scale, (
+                    spec.identifier, estimator.__name__, bandwidth)
 
 
 def test_criterion_5_psd_projection_contraction():

@@ -10,14 +10,19 @@ from ftspectra import (
     clip_to_pd,
     clip_to_psd,
     eigendecompose,
+    epanechnikov,
+    estimate_lagwindow,
     estimate_smoothed,
     generate_fma1,
     hs_distance,
+    imse_from_estimate,
     make_fma1_model,
     min_eigenvalue,
     trapezoid,
+    true_spectrum,
 )
 from ftspectra.core import center
+from ftspectra.sim import DEFAULT_KERNELS
 
 from conftest import random_hermitian, random_psd
 
@@ -179,6 +184,43 @@ class TestClipEstimate:
             clip_estimate(est, "definite")
         with pytest.raises(DomainError):
             clip_estimate(est, "banana")
+        # the block clip is the single-matrix clip of every row, bit for bit
+        T = 128
+        for d in (3, 50):
+            series = generate_fma1(make_fma1_model(d, d=d), T)
+            for spec in (trapezoid(), epanechnikov()):
+                est = estimate_smoothed(series, spec, T ** -0.2)
+                for block, clip in ((clip_estimate(est, "semidefinite"), clip_to_psd),
+                                    (clip_estimate(est, "definite", eps=1 / T),
+                                     lambda k: clip_to_pd(k, 1 / T))):
+                    for row, k in zip(block.matrices, est.kernels):
+                        a, b = row.view(float), clip(k).matrix.view(float)
+                        assert np.array_equal(a, b), (d, spec)
+                        assert np.array_equal(np.signbit(a), np.signbit(b)), (d, spec)
+
+    @pytest.mark.parametrize("T", [64, 256])
+    def test_clip_never_raises_the_imse(self, T):
+        # the truth is PSD and the semidefinite clip is the Frobenius
+        # projection onto the PSD cone at each frequency, so it cannot move an
+        # estimate away from the truth; the definite clip with floor eps moves
+        # each matrix at most eps * sqrt(d) in Frobenius norm, and the IMSE
+        # frequency weights sum to less than 2*pi
+        d, eps = 20, 1 / T
+        for seed in range(6):
+            model = make_fma1_model(seed, d=d)
+            series = generate_fma1(model, T)
+            truth = true_spectrum(model)
+            for spec in DEFAULT_KERNELS:
+                for estimator in (estimate_smoothed, estimate_lagwindow):
+                    if estimator is estimate_lagwindow and not spec.is_flat_top:
+                        continue
+                    est = estimator(series, spec, T ** -0.2)
+                    raw = imse_from_estimate(est, truth)
+                    psd = imse_from_estimate(clip_estimate(est, "semidefinite"), truth)
+                    pd = imse_from_estimate(clip_estimate(est, "definite", eps=eps), truth)
+                    case = (seed, spec.identifier, estimator.__name__)
+                    assert psd <= raw * (1 + 1e-12), case
+                    assert np.sqrt(pd) <= np.sqrt(psd) + eps * np.sqrt(2 * np.pi / d), case
 
     @pytest.mark.parametrize("mode", ["none", "semidefinite", "definite"])
     @pytest.mark.parametrize("eps", [-1.0, 0.0, np.nan, np.inf])
