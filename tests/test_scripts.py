@@ -82,6 +82,7 @@ def test_perfbench_smoke_traces_every_span():
     assert "selftest passed" in res.stdout
     assert [line for line in lines if "not traced" in line] == []
     for workload, name in (("imse-mc", "sim.true_spectrum_s"), ("imse-mc", "sim.imse_s"),
-                           ("estimate-cli", "psd.clip_s"), ("estimate-cli", "psd.min_eig_s")):
+                           ("estimate-cli", "psd.clip_s"), ("estimate-cli", "psd.min_eig_s"),
+                           ("estimate-cli", "core.write_s"), ("estimate-long", "core.write_s")):
         span, = [line for line in lines if line.startswith(workload) and f" {name} " in line]
         assert "= 0 s" not in span, span
