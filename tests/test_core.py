@@ -15,14 +15,22 @@ from ftspectra import (
     NumericError,
     SpectralEstimate,
     center,
+    clip_estimate,
+    epanechnikov,
     estimate_from_json_dict,
+    estimate_lagwindow,
+    estimate_smoothed,
     estimate_to_csv_dir,
     estimate_to_json_dict,
+    flat_top_parzen,
+    generate_fma1,
     hs_distance,
     hs_norm,
+    make_fma1_model,
     series_from_csv,
     series_from_json_dict,
     series_to_csv,
+    trapezoid,
 )
 from ftspectra import core
 from ftspectra.core import ParseError, read_csv, read_json, write_csv, write_json
@@ -466,9 +474,6 @@ _SIGNED_ZEROS.imag = [[0.0, 0.0, -0.0], [0.0, 0.0, 1.5], [0.0, -1.5, 0.0]]
 
 
 def _written_estimate(name) -> SpectralEstimate:
-    from ftspectra import (clip_estimate, epanechnikov, estimate_lagwindow,
-                           estimate_smoothed, flat_top_parzen, generate_fma1,
-                           make_fma1_model, trapezoid)
     series = generate_fma1(make_fma1_model(3, d=6), 64)
     if name == "TR":
         return estimate_smoothed(series, trapezoid(), 0.5)
