@@ -211,7 +211,7 @@ def cmd_estimate(args) -> int:
         "psd_mode": args.psd,
         "eps": float(eps) if args.psd == "definite" else None,
         "frequencies": est.frequencies.tolist(),
-        "hermitian_residual_max": max(map(hermitian_residual, est.matrices)),
+        "hermitian_residual_max": float(hermitian_residual(est.matrices).max()),
         "min_eigenvalue_per_frequency": [min_eigenvalue(k) for k in est.kernels],
     }
     _write_json(f"{args.out}.summary.json", summary)

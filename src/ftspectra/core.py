@@ -125,8 +125,6 @@ class FrequencyKernel:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"kernel matrix must be square, got shape {m.shape}")
         _check_kernels(m[None])
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -135,21 +133,26 @@ class FrequencyKernel:
         return self.matrix.shape[0]
 
 
-def _check_kernels(block: np.ndarray) -> np.ndarray:
-    """The (n, d, d) complex block of kernel matrices, unchanged.
-    NumericError unless every entry is finite; DomainError unless every
+def _check_kernels(block: np.ndarray, n: int | None = None) -> np.ndarray:
+    """The complex block of kernel matrices, unchanged. DimensionError unless
+    it is a stack of square matrices and, when n is given, holds n of them,
+    one per frequency; then NumericError unless every entry is finite; then
+    DomainError, naming the first offending matrix's residual, unless every
     matrix is Hermitian within HERMITIAN_RTOL. The estimators build their
-    matrices exactly Hermitian, so the residual is computed only for a block
+    matrices exactly Hermitian, so residuals are computed only for a block
     that is not equal to its conjugate transpose. Both tests read the block
     through real views; a contiguous block is not copied."""
+    if block.ndim != 3 or block.shape[1] != block.shape[2]:
+        raise DimensionError(f"kernel matrix must be square, got shape {block.shape[1:]}")
+    if n is not None and block.shape[0] != n:
+        raise DimensionError(f"{block.shape[0]} kernels for {n} frequencies")
     if not np.isfinite(np.ascontiguousarray(block).view(float)).all():
         raise NumericError("kernel matrix contains non-finite entries")
     if not _exactly_hermitian(block):
-        for m in block:
-            residual = hermitian_residual(m)
-            if residual > HERMITIAN_RTOL:
-                raise DomainError(
-                    f"matrix is not Hermitian (relative residual {residual:.3e})")
+        residuals = hermitian_residual(block)
+        bad = residuals[residuals > HERMITIAN_RTOL]
+        if bad.size:
+            raise DomainError(f"matrix is not Hermitian (relative residual {bad[0]:.3e})")
     return block
 
 
@@ -163,11 +166,13 @@ def _exactly_hermitian(block: np.ndarray) -> bool:
                 and not np.any(im + im.swapaxes(1, 2)))
 
 
-def hermitian_residual(m: np.ndarray) -> float:
-    """Relative departure from Hermitian symmetry, max |m - m^H| / max |m|;
-    0 for the zero matrix."""
-    scale = np.max(np.abs(m))
-    return float(np.max(np.abs(m - m.conj().T)) / scale) if scale > 0.0 else 0.0
+def hermitian_residual(m: np.ndarray):
+    """max |m - m^H| / max |m|, 0 for the zero matrix: a float for one (d, d)
+    matrix, an array holding each matrix's for a (..., d, d) stack."""
+    scale = np.abs(m).max(axis=(-2, -1))
+    spread = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    residual = np.divide(spread, scale, out=np.zeros_like(scale), where=scale > 0.0)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def _hermitian_sum(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -218,13 +223,8 @@ class SpectralEstimate:
         block = np.asarray(block, dtype=complex)
         if block.shape == (0,):  # no matrices, so no matrix axes either
             block = block.reshape(0, 0, 0)
-        if block.ndim != 3 or block.shape[1] != block.shape[2]:
-            raise DimensionError(
-                f"kernel matrix must be square, got shape {block.shape[1:]}")
-        if block.shape[0] != f.size:
-            raise DimensionError(f"{block.shape[0]} kernels for {f.size} frequencies")
         object.__setattr__(self, "frequencies", _readonly(f))
-        object.__setattr__(self, "matrices", _readonly(_check_kernels(block)))
+        object.__setattr__(self, "matrices", _readonly(_check_kernels(block, f.size)))
 
     @property
     def kernels(self) -> tuple:
@@ -450,11 +450,6 @@ def series_from_json_dict(obj: dict) -> FunctionalSeries:
     if T is not None and values.shape[:1] != (T,):
         raise ParseError("series JSON: T does not match the number of rows")
     return FunctionalSeries(Grid(d), values)
-
-
-def matrix_to_json_dict(m: np.ndarray) -> dict:
-    m = np.asarray(m)
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def matrix_from_json_dict(obj: dict) -> np.ndarray:
