@@ -21,7 +21,7 @@ from .core import (
     center,
     _readonly,
 )
-from .estimator import _autocovariance_stack, _lag_product
+from .estimator import _autocovariance_stack, _check_lag, _lag_product
 from .kernels import FlatTopSpec, effective_flat_top_radius
 
 __all__ = [
@@ -58,6 +58,11 @@ def _bandwidth_from_q(q: int, c_ef: float) -> float:
     return 1.0 / max(math.ceil(q / c_ef), 1)
 
 
+def _check_series_length(T: int) -> None:
+    if T < 8:
+        raise DomainError(f"bandwidth selection needs T >= 8, got T = {T}")
+
+
 def gamma_grid_indices(d: int) -> np.ndarray:
     """Nearest midpoint-grid indices for the probe points i/10, i = 0..9."""
     idx = np.array([round(i * d / 10 - 0.5) for i in range(GRID_SIDE)], dtype=int)
@@ -69,13 +74,14 @@ def correlogram(series: FunctionalSeries, lag: int, tau_idx: int, sigma_idx: int
     rhat_m(tau, sigma) / sqrt(rhat_0(tau, tau) * rhat_0(sigma, sigma)).
 
     The divisor-T autocovariance keeps |rhohat| <= 1 by Cauchy-Schwarz.
+    DomainError unless the lag is an integer with |lag| < T and both grid
+    indices lie in 0..d-1.
     """
-    series = center(series)
-    T = series.n_curves
-    lag = int(lag)
-    if abs(lag) >= T:
-        raise DomainError(f"lag {lag} out of range for T = {T}")
-    xy = series.values[:, [tau_idx, sigma_idx]]
+    lag = _check_lag(lag, series.n_curves)
+    for idx in (tau_idx, sigma_idx):
+        if not 0 <= idx < series.d:
+            raise DomainError(f"grid index {idx} out of range for d = {series.d}")
+    xy = center(series).values[:, [tau_idx, sigma_idx]]
     var = np.diagonal(_lag_product(xy, 0))
     if np.any(var <= 0.0):
         raise DegenerateDataError("zero variance at a probed grid point")
@@ -107,8 +113,7 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
     """
     c_ef = effective_flat_top_radius(spec)
     T = series.n_curves
-    if T < 8:
-        raise DomainError(f"bandwidth selection needs T >= 8, got T = {T}")
+    _check_series_length(T)
     if window_start not in (0, 1):
         raise DomainError(f"window_start must be 0 or 1, got {window_start}")
     if not (math.isfinite(C0) and C0 > 0.0):

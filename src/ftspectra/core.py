@@ -215,7 +215,7 @@ class SpectralEstimate:
     def __post_init__(self):
         f = check_frequencies(self.frequencies)
         block = self.matrices
-        if not isinstance(block, np.ndarray):
+        if not isinstance(block, np.ndarray) and np.iterable(block):
             block = list(block)
             shapes = sorted({np.shape(m) for m in block})
             if len(shapes) > 1:

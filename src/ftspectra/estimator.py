@@ -64,12 +64,19 @@ def autocovariance(series: FunctionalSeries, lag: int) -> np.ndarray:
     u, |u| < T, as a d x d real matrix with entry (i, j)
     rhat_u(tau_i, tau_j) = (1/T) * sum_t X_{t+u}(tau_i) X_t(tau_j), the sum
     over all t keeping both indices in range (divisor T, biased form)."""
-    T = series.n_curves
-    lag = int(lag)
-    if abs(lag) >= T:
-        raise DomainError(f"lag {lag} out of range for T = {T}")
+    lag = _check_lag(lag, series.n_curves)
     m = _lag_product(center(series).values, abs(lag))
     return m.T if lag < 0 else m
+
+
+def _check_lag(lag, T: int) -> int:
+    """The lag as an int; DomainError unless it is an integer, not a bool,
+    with |lag| < T."""
+    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)):
+        raise DomainError(f"lag must be an integer, got {lag!r}")
+    if abs(lag) >= T:
+        raise DomainError(f"lag {lag} out of range for T = {T}")
+    return int(lag)
 
 
 def _autocovariance_stack(values: np.ndarray, n_lags: int, circular: bool) -> np.ndarray:

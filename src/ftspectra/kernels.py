@@ -147,12 +147,11 @@ def _require_flat_top(spec: FlatTopSpec, what: str) -> None:
 def support_radius(spec: FlatTopSpec) -> float:
     """Radius S such that lam(s) = 0 for |s| >= S."""
     _require_flat_top(spec, "the taper support")
-    if spec.family is KernelFamily.FLAT_TOP_PARZEN:
-        return spec.c + 1.0
-    return 1.0
+    return _branch_points(spec)[-1]
 
 
 def _branch_points(spec: FlatTopSpec) -> list[float]:
+    """The points where the taper's pieces meet, from 0 to the support radius."""
     if spec.family is KernelFamily.FLAT_TOP_PARZEN:
         return [0.0, spec.c, spec.c + 0.5, spec.c + 1.0]
     return [0.0, spec.c, 1.0]

@@ -25,7 +25,7 @@ from .core import (
     write_csv,
     write_json,
 )
-from .bandwidth import _bandwidth_from_q, select_bandwidth
+from .bandwidth import _bandwidth_from_q, _check_series_length, select_bandwidth
 from .estimator import (
     METHOD_SMOOTHED,
     _estimate_specs,
@@ -122,8 +122,7 @@ def generate_fma1(model: Fma1Model, T: int,
     through the sine basis. Reproducible: the default generator derives from
     the model seed.
     """
-    if T < 2:
-        raise DomainError(f"need T >= 2, got {T}")
+    _check_length(T)
     if rng is None:
         if model.seed is None:
             raise DomainError("model has no seed; pass an explicit generator")
@@ -134,6 +133,11 @@ def generate_fma1(model: Fma1Model, T: int,
     coef += eps[:-1] @ model.a1.T
     del eps
     return FunctionalSeries(model.grid, coef @ basis_matrix(model.grid).T)
+
+
+def _check_length(T: int) -> None:
+    if T < 2:
+        raise DomainError(f"need T >= 2, got {T}")
 
 
 def true_spectrum(model: Fma1Model, frequencies=None) -> SpectralEstimate:
@@ -271,14 +275,16 @@ def resolve_bandwidths(mode, series: FunctionalSeries, specs) -> list:
         c_efs = [effective_flat_top_radius(spec) for spec in specs[1:]]
         report = select_bandwidth(series, specs[0])
         return [report.B_T] + [_bandwidth_from_q(report.q_hat, c_ef) for c_ef in c_efs]
-    T = series.n_curves
+    return [_rate_bandwidth(mode, series.n_curves)] * len(specs)
+
+
+def _rate_bandwidth(mode, T: int) -> float:
+    """The bandwidth of a parsed mode other than 'auto' for T curves."""
     if mode == "rate":
-        bandwidth = T ** (-0.2)
-    elif mode == "2rate":
-        bandwidth = check_bandwidth(2.0 * T ** (-0.2))
-    else:
-        bandwidth = float(mode)
-    return [bandwidth] * len(specs)
+        return T ** (-0.2)
+    if mode == "2rate":
+        return check_bandwidth(2.0 * T ** (-0.2))
+    return float(mode)
 
 
 def _estimates(config: ImseConfig, series: FunctionalSeries, frequencies=None):
@@ -309,14 +315,32 @@ def _run_replication(config: ImseConfig, task) -> list:
     return list(map(score, estimates))
 
 
+def _check_replications(config: ImseConfig) -> None:
+    """Raise what the first failing replication of the config would raise,
+    in its order: a grid of fewer than two points, then, for each T in list
+    order, T < 2, and under 'auto' a spec without an effective flat-top
+    radius or T < 8, or else a rate bandwidth outside (0, 1]."""
+    Grid(config.d)
+    for T in map(int, config.T_list):
+        _check_length(T)
+        if config.bandwidth_mode == "auto":
+            for spec in config.kernel_specs:
+                effective_flat_top_radius(spec)
+            _check_series_length(T)
+        else:
+            _rate_bandwidth(config.bandwidth_mode, T)
+
+
 def imse_experiment(config: ImseConfig) -> list:
     """Run the Monte-Carlo IMSE benchmark and return one :class:`ImseRow` per
     (kernel, T) cell.
 
     Replications map over per-task generator streams split from the master
     seed, so serial and parallel executions produce identical numbers and the
-    whole table is reproducible bitwise from the config.
+    whole table is reproducible bitwise from the config. A config whose
+    replications would fail is refused before any of them runs.
     """
+    _check_replications(config)
     ss = np.random.SeedSequence(config.seed)
     n_tasks = len(config.T_list) * config.n_runs
     children = ss.spawn(n_tasks + 1)

@@ -79,6 +79,25 @@ class TestCorrelogram:
         with pytest.raises(DomainError):
             correlogram(fma_series, fma_series.n_curves, 0, 0)
 
+    @pytest.mark.parametrize("lag", [1.7, 1.0, True, np.float64(2.0)],
+                             ids=["fraction", "integral-float", "bool", "numpy-float"])
+    def test_lag_must_be_an_integer(self, fma_series, lag):
+        # int(1.7) used to read lag 1
+        with pytest.raises(DomainError) as raised:
+            correlogram(fma_series, lag, 0, 1)
+        assert str(raised.value) == f"lag must be an integer, got {lag!r}"
+        assert correlogram(fma_series, np.int64(2), 0, 1) == correlogram(fma_series, 2, 0, 1)
+
+    @pytest.mark.parametrize("tau_idx, sigma_idx, bad", [(-1, 0, -1), (8, 0, 8), (0, -3, -3),
+                                                          (2, 9, 9)],
+                             ids=["negative", "d", "sigma-negative", "sigma-beyond"])
+    def test_grid_index_out_of_range(self, rng, tau_idx, sigma_idx, bad):
+        # -1 used to read index d - 1, and d raised a bare IndexError
+        s = FunctionalSeries(Grid(8), rng.standard_normal((32, 8)))
+        with pytest.raises(DomainError, match=f"grid index {bad} out of range for d = 8"):
+            correlogram(s, 1, tau_idx, sigma_idx)
+        assert np.isfinite(correlogram(s, 1, 7, 0))
+
 
 class TestGammaGrid:
     def test_d100_maps_to_round_indices(self):

@@ -33,7 +33,14 @@ from ftspectra import (
     trapezoid,
 )
 from ftspectra import core
-from ftspectra.core import ParseError, read_csv, read_json, write_csv, write_json
+from ftspectra.core import (
+    HERMITIAN_RTOL,
+    ParseError,
+    read_csv,
+    read_json,
+    write_csv,
+    write_json,
+)
 
 from conftest import random_hermitian
 
@@ -169,6 +176,87 @@ class TestFrequencyKernel:
         m = np.array(random_hermitian(rng, 4))
         m[0, 1] += 1e-14 * np.max(np.abs(m))
         FrequencyKernel(m)  # within the 1e-10 relative tolerance
+
+
+H2 = np.array([[1.0, 2.0], [3.0, 4.0]])     # relative residual 1/4
+NAN2 = np.full((2, 2), np.nan)
+SQUARE = "kernel matrix must be square, got shape "
+FINITE = "kernel matrix contains non-finite entries"
+HERMITIAN = "matrix is not Hermitian (relative residual 2.500e-01)"
+
+
+class TestKernelErrors:
+    """The error type and text of each fault, and of each double fault, which
+    the checks meet in their order: square, count, finite, Hermitian."""
+
+    @pytest.mark.parametrize("matrices, frequencies, error, text", [
+        (np.zeros((1, 2, 3)), [0.1], DimensionError, SQUARE + "(2, 3)"),
+        (np.zeros((1, 2, 2, 2)), [0.1], DimensionError, SQUARE + "(2, 2, 2)"),
+        (5.0, [0.1], DimensionError, SQUARE + "()"),
+        (np.stack([np.eye(2)] * 2), [0.1], DimensionError, "2 kernels for 1 frequencies"),
+        ((), [0.1], DimensionError, "0 kernels for 1 frequencies"),
+        (NAN2[None], [0.1], NumericError, FINITE),
+        (H2[None], [0.1], DomainError, HERMITIAN),
+        # double faults: the earlier check names the fault
+        (np.zeros(3), [0.1], DimensionError, SQUARE + "()"),
+        (np.zeros((2, 2, 3)), [0.1], DimensionError, SQUARE + "(2, 3)"),
+        ([np.zeros((2, 3))], [0.1, 0.2], DimensionError, SQUARE + "(2, 3)"),
+        (np.stack([NAN2] * 2), [0.1], DimensionError, "2 kernels for 1 frequencies"),
+        (np.stack([H2] * 2), [0.1], DimensionError, "2 kernels for 1 frequencies"),
+        (np.stack([H2, NAN2]), [0.1, 0.2], NumericError, FINITE),
+    ], ids=["non-square", "four-axes", "scalar", "too-many", "none", "non-finite",
+            "non-Hermitian", "vector-and-count", "non-square-and-count",
+            "non-square-list-and-count", "count-and-non-finite",
+            "count-and-non-Hermitian", "non-Hermitian-and-non-finite"])
+    def test_estimate(self, matrices, frequencies, error, text):
+        with pytest.raises(error) as raised:
+            SpectralEstimate(frequencies, matrices, 0.5, "TR", "lag-window")
+        assert type(raised.value) is error and str(raised.value) == text
+
+    @pytest.mark.parametrize("matrix, error, text", [
+        (np.zeros(3), DimensionError, SQUARE + "(3,)"),
+        (np.zeros((2, 3)), DimensionError, SQUARE + "(2, 3)"),
+        (np.zeros((2, 2, 2)), DimensionError, SQUARE + "(2, 2, 2)"),
+        (5.0, DimensionError, SQUARE + "()"),
+        (NAN2, NumericError, FINITE),
+        (H2, DomainError, HERMITIAN),
+        (np.full((2, 3), np.nan), DimensionError, SQUARE + "(2, 3)"),
+        (np.array([[np.nan, 1.0], [2.0, 0.0]]), NumericError, FINITE),
+    ], ids=["vector", "non-square", "three-axes", "scalar", "non-finite",
+            "non-Hermitian", "non-square-and-non-finite", "non-Hermitian-and-non-finite"])
+    def test_kernel(self, matrix, error, text):
+        with pytest.raises(error) as raised:
+            FrequencyKernel(matrix)
+        assert type(raised.value) is error and str(raised.value) == text
+
+
+class TestHermitianResidual:
+    def test_stack_matches_each_matrix_bit_for_bit(self, rng):
+        block = np.stack([random_hermitian(rng, 5) for _ in range(4)] + [np.zeros((5, 5))])
+        block[1] += 1e-9 * rng.standard_normal((5, 5))
+        block[2, 0, 3] += 3e-7j
+        block[3] = rng.standard_normal((5, 5))
+        residuals = core.hermitian_residual(block)
+        assert residuals.shape == (5,)
+        assert residuals.tolist() == [core.hermitian_residual(m) for m in block]
+        assert residuals[0] == residuals[4] == 0.0 and residuals[1:4].min() > 0.0
+        assert core.hermitian_residual(block.reshape(1, 5, 5, 5)).shape == (1, 5)
+        assert isinstance(core.hermitian_residual(block[3]), float)
+
+    def test_one_matrix(self):
+        assert core.hermitian_residual(H2) == 0.25
+        assert core.hermitian_residual(np.zeros((3, 3))) == 0.0
+
+    def test_check_names_the_first_offending_matrix(self, rng):
+        block = np.stack([random_hermitian(rng, 4) for _ in range(4)])
+        block[1, 0, 1] += 1e-14 * np.abs(block[1]).max()   # within the tolerance
+        block[2, 0, 2] += 1e-6 * np.abs(block[2]).max()
+        block[3, 1, 2] += 1e-3 * np.abs(block[3]).max()
+        first = core.hermitian_residual(block[2])
+        assert HERMITIAN_RTOL < first < core.hermitian_residual(block[3])
+        with pytest.raises(DomainError) as raised:
+            core._check_kernels(block)
+        assert str(raised.value) == f"matrix is not Hermitian (relative residual {first:.3e})"
 
 
 class TestKernelBlockCheck:

@@ -155,6 +155,19 @@ class TestAutocovariance:
     def test_lag_out_of_range(self, fma_series):
         with pytest.raises(DomainError):
             autocovariance(fma_series, fma_series.n_curves)
+        with pytest.raises(DomainError, match=f"lag -{fma_series.n_curves} out of range "
+                                              f"for T = {fma_series.n_curves}"):
+            autocovariance(fma_series, -fma_series.n_curves)
+
+    @pytest.mark.parametrize("lag", [1.7, 1.0, True, np.float64(2.0)],
+                             ids=["fraction", "integral-float", "bool", "numpy-float"])
+    def test_lag_must_be_an_integer(self, fma_series, lag):
+        # int(1.7) used to read lag 1
+        with pytest.raises(DomainError) as raised:
+            autocovariance(fma_series, lag)
+        assert str(raised.value) == f"lag must be an integer, got {lag!r}"
+        assert np.array_equal(autocovariance(fma_series, np.int64(2)),
+                              autocovariance(fma_series, 2))
 
 
 class TestSmoothedEstimator:

@@ -275,6 +275,44 @@ class TestImseExperiment:
         with pytest.raises(DomainError):  # 2 * 16^(-1/5) > 1
             resolve_bandwidths("2rate", generate_fma1(model, 16), (trapezoid(),))
 
+    @pytest.mark.parametrize("argv, error, message", [
+        (["--T-list", "2048,4", "--kernels", "TR", "--bandwidth", "auto", "--d", "50"],
+         "DomainError", "bandwidth selection needs T >= 8, got T = 4"),
+        (["--T-list", "2048,1", "--parallel", "2", "--kernels", "TR"],
+         "DomainError", "need T >= 2, got 1"),
+        (["--T-list", "64", "--d", "1"], "DomainError",
+         "grid needs an integer d >= 2, got 1"),
+        (["--T-list", "1", "--d", "1"], "DomainError",
+         "grid needs an integer d >= 2, got 1"),
+        (["--T-list", "64,4", "--kernels", "TR,EPA", "--bandwidth", "auto"],
+         "UnsupportedKernelError", "the effective flat-top radius is undefined for the "
+         "Epanechnikov baseline; it enters the estimator directly as a "
+         "frequency-domain weight"),
+        (["--T-list", "1", "--kernels", "EPA", "--bandwidth", "auto"],
+         "DomainError", "need T >= 2, got 1"),
+        (["--T-list", "64,16", "--kernels", "TR", "--bandwidth", "2rate"],
+         "DomainError", "bandwidth must lie in (0, 1], got 1.1486983549970349"),
+    ], ids=["auto-T4", "T1-parallel", "d1", "d1-and-T1", "auto-baseline",
+            "T1-and-auto-baseline", "2rate-T16"])
+    def test_bench_refuses_before_any_replication(self, monkeypatch, capsys, tmp_path,
+                                                  argv, error, message):
+        # each refusal is the one the first failing replication used to raise
+        import concurrent.futures
+
+        from ftspectra import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("a replication or a process pool was started")
+
+        monkeypatch.setattr(sim, "_run_replication", never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+        code = cli.main(["bench", "--replications", "20", "--out-dir",
+                         str(tmp_path / "b"), *argv])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            {"code": 1, "type": error, "message": message}
+        assert not (tmp_path / "b").exists()
+
     def test_repeated_kernel_spec_rejected(self):
         with pytest.raises(DomainError, match=r"share the identifier TR\(c=0.5\)"):
             ImseConfig(kernel_specs=(trapezoid(), epanechnikov(), trapezoid()))
