@@ -75,12 +75,14 @@ def correlogram(series: FunctionalSeries, lag: int, tau_idx: int, sigma_idx: int
 
     The divisor-T autocovariance keeps |rhohat| <= 1 by Cauchy-Schwarz.
     DomainError unless the lag is an integer with |lag| < T and both grid
-    indices lie in 0..d-1.
+    indices are integers in 0..d-1 (a bool is not an integer).
     """
     lag = _check_lag(lag, series.n_curves)
     for idx in (tau_idx, sigma_idx):
-        if not 0 <= idx < series.d:
-            raise DomainError(f"grid index {idx} out of range for d = {series.d}")
+        if (isinstance(idx, bool) or not isinstance(idx, (int, np.integer))
+                or not 0 <= idx < series.d):
+            raise DomainError(f"grid index must be an integer in 0..{series.d - 1}, "
+                              f"got {idx!r}")
     xy = center(series).values[:, [tau_idx, sigma_idx]]
     var = np.diagonal(_lag_product(xy, 0))
     if np.any(var <= 0.0):

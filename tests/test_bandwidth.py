@@ -88,15 +88,17 @@ class TestCorrelogram:
         assert str(raised.value) == f"lag must be an integer, got {lag!r}"
         assert correlogram(fma_series, np.int64(2), 0, 1) == correlogram(fma_series, 2, 0, 1)
 
-    @pytest.mark.parametrize("tau_idx, sigma_idx, bad", [(-1, 0, -1), (8, 0, 8), (0, -3, -3),
-                                                          (2, 9, 9)],
-                             ids=["negative", "d", "sigma-negative", "sigma-beyond"])
+    @pytest.mark.parametrize("tau_idx, sigma_idx, bad", [
+        (-1, 0, -1), (8, 0, 8), (0, -3, -3), (2, 9, 9), (1.5, 0, 1.5), (True, 0, True),
+    ], ids=["negative", "d", "sigma-negative", "sigma-beyond", "fraction", "bool"])
     def test_grid_index_out_of_range(self, rng, tau_idx, sigma_idx, bad):
-        # -1 used to read index d - 1, and d raised a bare IndexError
+        # -1 used to read index d - 1, d and 1.5 raised a bare IndexError, and
+        # True read index 1
         s = FunctionalSeries(Grid(8), rng.standard_normal((32, 8)))
-        with pytest.raises(DomainError, match=f"grid index {bad} out of range for d = 8"):
+        with pytest.raises(DomainError) as raised:
             correlogram(s, 1, tau_idx, sigma_idx)
-        assert np.isfinite(correlogram(s, 1, 7, 0))
+        assert str(raised.value) == f"grid index must be an integer in 0..7, got {bad!r}"
+        assert correlogram(s, 1, np.int64(7), 0) == correlogram(s, 1, 7, 0)
 
 
 class TestGammaGrid:
