@@ -167,8 +167,9 @@ def _exactly_hermitian(block: np.ndarray) -> bool:
 
 
 def hermitian_residual(m: np.ndarray):
-    """max |m - m^H| / max |m|, 0 for the zero matrix: a float for one (d, d)
-    matrix, an array holding each matrix's for a (..., d, d) stack."""
+    """Relative departure from Hermitian symmetry, max |m - m^H| / max |m|,
+    0 for the zero matrix: a float for one (d, d) matrix, and for a
+    (..., d, d) stack an array of each matrix's residual."""
     scale = np.abs(m).max(axis=(-2, -1))
     spread = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     residual = np.divide(spread, scale, out=np.zeros_like(scale), where=scale > 0.0)
