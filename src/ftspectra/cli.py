@@ -263,7 +263,8 @@ def _write_traces(out_dir, config: ImseConfig) -> None:
                                     for w, m in zip(freqs, est.matrices)])
 
     seen = {}   # specs per family so far: the k-th, k >= 2, is trace_<family>_<k>
-    for spec, est in zip(config.kernel_specs, _estimates(config, series, freqs)):
+    estimates = _estimates(config.kernel_specs, config.bandwidth_mode, series, freqs)
+    for spec, est in zip(config.kernel_specs, estimates):
         family = spec.identifier.split("(")[0].lower()
         seen[family] = k = seen.get(family, 0) + 1
         name = family if k == 1 else f"{family}_{k}"

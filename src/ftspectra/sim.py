@@ -204,7 +204,8 @@ def imse_from_estimate(estimate: SpectralEstimate, truth: SpectralEstimate) -> f
 class ImseConfig:
     """Benchmark configuration; the defaults are the desk-scale run. Every
     replication scores the estimates on the paper grid
-    estimator.DEFAULT_FREQUENCIES."""
+    estimator.DEFAULT_FREQUENCIES. A config that constructs runs: what a
+    replication would refuse is refused here. T_list is kept as ints."""
 
     T_list: tuple = (64, 128, 256, 512, 1024)
     n_runs: int = 50
@@ -232,6 +233,17 @@ class ImseConfig:
                 raise DomainError(f"two kernel specs share the identifier {identifier}")
         object.__setattr__(self, "bandwidth_mode",
                            parse_bandwidth_mode(self.bandwidth_mode))
+        # what a replication would refuse, in its order
+        Grid(self.d)
+        for T in self.T_list:
+            _check_length(T)
+            if self.bandwidth_mode == "auto":
+                for spec in self.kernel_specs:
+                    effective_flat_top_radius(spec)
+                _check_series_length(T)
+            else:
+                _rate_bandwidth(self.bandwidth_mode, T)
+        object.__setattr__(self, "T_list", tuple(map(int, self.T_list)))
 
 
 @dataclass(frozen=True)
@@ -287,16 +299,16 @@ def _rate_bandwidth(mode, T: int) -> float:
     return float(mode)
 
 
-def _estimates(config: ImseConfig, series: FunctionalSeries, frequencies=None):
-    """An iterator over the smoothed estimates of the series by the config's
-    kernel specs, in spec order, at the bandwidths its mode gives them, one
+def _estimates(specs, mode, series: FunctionalSeries, frequencies=None):
+    """An iterator over the smoothed estimates of the series by the kernel
+    specs, in spec order, at the bandwidths the parsed mode gives them, one
     at a time; each equal to estimate_smoothed's, bit for bit. Every
     bandwidth is resolved before any estimate is made, so a refused
     bandwidth fails first; the series is then centered once, and the
     estimates share one lag stack."""
     frequencies = _frequencies(frequencies)
-    bandwidths = resolve_bandwidths(config.bandwidth_mode, series, config.kernel_specs)
-    return _estimate_specs(center(series).values, config.kernel_specs, bandwidths,
+    bandwidths = resolve_bandwidths(mode, series, specs)
+    return _estimate_specs(center(series).values, specs, bandwidths,
                            frequencies, METHOD_SMOOTHED)
 
 
@@ -310,25 +322,10 @@ def _run_replication(config: ImseConfig, task) -> list:
     rng = np.random.default_rng(seed_ss)
     a0, a1 = _draw_operators(rng) if operators is None else operators
     model = Fma1Model(a0, a1, Grid(config.d))
-    estimates = _estimates(config, generate_fma1(model, T, rng=rng))
+    estimates = _estimates(config.kernel_specs, config.bandwidth_mode,
+                           generate_fma1(model, T, rng=rng))
     score = functools.partial(imse_from_estimate, truth=true_spectrum(model))
     return list(map(score, estimates))
-
-
-def _check_replications(config: ImseConfig) -> None:
-    """Raise what the first failing replication of the config would raise,
-    in its order: a grid of fewer than two points, then, for each T in list
-    order, T < 2, and under 'auto' a spec without an effective flat-top
-    radius or T < 8, or else a rate bandwidth outside (0, 1]."""
-    Grid(config.d)
-    for T in map(int, config.T_list):
-        _check_length(T)
-        if config.bandwidth_mode == "auto":
-            for spec in config.kernel_specs:
-                effective_flat_top_radius(spec)
-            _check_series_length(T)
-        else:
-            _rate_bandwidth(config.bandwidth_mode, T)
 
 
 def imse_experiment(config: ImseConfig) -> list:
@@ -337,17 +334,16 @@ def imse_experiment(config: ImseConfig) -> list:
 
     Replications map over per-task generator streams split from the master
     seed, so serial and parallel executions produce identical numbers and the
-    whole table is reproducible bitwise from the config. A config whose
-    replications would fail is refused before any of them runs.
+    whole table is reproducible bitwise from the config, which ImseConfig
+    has checked to run.
     """
-    _check_replications(config)
     ss = np.random.SeedSequence(config.seed)
     n_tasks = len(config.T_list) * config.n_runs
     children = ss.spawn(n_tasks + 1)
     operators = None
     if not config.redraw_operators:
         operators = _draw_operators(np.random.default_rng(children[n_tasks]))
-    tasks = [(int(T), children[ti * config.n_runs + r], operators)
+    tasks = [(T, children[ti * config.n_runs + r], operators)
              for ti, T in enumerate(config.T_list) for r in range(config.n_runs)]
 
     run = functools.partial(_run_replication, config)
@@ -372,7 +368,7 @@ def imse_experiment(config: ImseConfig) -> list:
             se_mean = float(imses.std(ddof=1) / math.sqrt(imses.size))
             rows.append(ImseRow(
                 kernel=spec.identifier,
-                T=int(T),
+                T=T,
                 bandwidth_mode=mode_label,
                 n_runs=int(imses.size),
                 mean_imse=mean,

@@ -257,9 +257,11 @@ class TestImseExperiment:
                                               ("2rate", "2rate"), ("0.5", 0.5),
                                               (0.5, 0.5), (1, 1.0)])
     def test_bandwidth_mode_parsed_once(self, mode, parsed):
-        # the CLI flags and ImseConfig share parse_bandwidth_mode
+        # the CLI flags and ImseConfig share parse_bandwidth_mode; 'auto'
+        # needs flat-top specs, since the baseline has no c_ef
         assert parse_bandwidth_mode(mode) == parsed
-        assert ImseConfig(bandwidth_mode=mode).bandwidth_mode == parsed
+        specs = sim.DEFAULT_KERNELS[1:]
+        assert ImseConfig(kernel_specs=specs, bandwidth_mode=mode).bandwidth_mode == parsed
 
     @pytest.mark.parametrize("mode", ["bogus", "RATE", "0", "1.5", "nan", None, 5.0,
                                       True, False])
@@ -312,6 +314,32 @@ class TestImseExperiment:
         assert json.loads(capsys.readouterr().err)["error"] == \
             {"code": 1, "type": error, "message": message}
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(T_list=(2048, 4), kernel_specs=("TR",), bandwidth_mode="auto", d=50),
+         DomainError, "bandwidth selection needs T >= 8, got T = 4"),
+        (dict(T_list=(2048, 1), n_jobs=2, kernel_specs=("TR",)),
+         DomainError, "need T >= 2, got 1"),
+        (dict(T_list=(64,), d=1), DomainError, "grid needs an integer d >= 2, got 1"),
+        (dict(T_list=(1,), d=1), DomainError, "grid needs an integer d >= 2, got 1"),
+        (dict(T_list=(64, 4), kernel_specs=("TR", "EPA"), bandwidth_mode="auto"),
+         UnsupportedKernelError, "the effective flat-top radius is undefined for the "
+         "Epanechnikov baseline; it enters the estimator directly as a "
+         "frequency-domain weight"),
+        (dict(T_list=(1,), kernel_specs=("EPA",), bandwidth_mode="auto"),
+         DomainError, "need T >= 2, got 1"),
+        (dict(T_list=(64, 16), kernel_specs=("TR",), bandwidth_mode="2rate"),
+         DomainError, "bandwidth must lie in (0, 1], got 1.1486983549970349"),
+    ], ids=["auto-T4", "T1-parallel", "d1", "d1-and-T1", "auto-baseline",
+            "T1-and-auto-baseline", "2rate-T16"])
+    def test_config_refuses_what_a_replication_would(self, kwargs, error, message):
+        # the same refusals as test_bench_refuses_before_any_replication,
+        # raised by ImseConfig itself
+        if "kernel_specs" in kwargs:
+            kwargs = dict(kwargs, kernel_specs=tuple(map(parse_kernel, kwargs["kernel_specs"])))
+        with pytest.raises(error) as raised:
+            ImseConfig(n_runs=20, **kwargs)
+        assert type(raised.value) is error and str(raised.value) == message
 
     def test_repeated_kernel_spec_rejected(self):
         with pytest.raises(DomainError, match=r"share the identifier TR\(c=0.5\)"):
@@ -439,12 +467,11 @@ class TestSharedReplicationWork:
                              ids=["paper-grid", "trace-grid"])
     def test_bitwise_the_per_spec_estimator(self, model, specs, T, mode, frequencies):
         series = generate_fma1(model, T)
-        config = ImseConfig(kernel_specs=specs, bandwidth_mode=mode)
         if mode == 0.05:  # L >= T: the stack's lags wrap around mod T
             lags = [estimator._flat_top_lags(s, mode, T, circular=True).size - 1
                     for s in specs if s.is_flat_top]
             assert min(lags) >= T
-        shared = list(sim._estimates(config, series, frequencies))
+        shared = list(sim._estimates(specs, mode, series, frequencies))
         assert len(shared) == len(specs)
         for spec, est in zip(specs, shared):
             bandwidth, = resolve_bandwidths(mode, series, (spec,))
@@ -476,19 +503,20 @@ class TestSharedReplicationWork:
         assert one_search >= 1
         stacks.clear()
         specs = tuple(parse_kernel(k) for k in ("TR", "PR", "ID"))
-        config = ImseConfig(kernel_specs=specs, bandwidth_mode="auto")
-        shared = list(sim._estimates(config, series))
+        shared = list(sim._estimates(specs, "auto", series))
         assert len(stacks) == one_search
         assert [e.bandwidth for e in shared] == \
             [ftbandwidth.select_bandwidth(series, s).B_T for s in specs]
 
     def test_auto_refuses_the_baseline_before_any_search(self, model, monkeypatch):
         stacks = counting(monkeypatch, ftbandwidth, "_autocovariance_stack")
-        config = ImseConfig(kernel_specs=(trapezoid(), epanechnikov()),
-                            bandwidth_mode="auto")
         with pytest.raises(UnsupportedKernelError):
-            next(sim._estimates(config, generate_fma1(model, 256)))
+            next(sim._estimates((trapezoid(), epanechnikov()), "auto",
+                                generate_fma1(model, 256)))
         assert stacks == []
+        # and a config holding those specs is refused when it is built
+        with pytest.raises(UnsupportedKernelError):
+            ImseConfig(kernel_specs=(trapezoid(), epanechnikov()), bandwidth_mode="auto")
 
 
 class TestEstimatorMeanRecoversTruth:
