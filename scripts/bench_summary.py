@@ -7,8 +7,19 @@ Each side is a perfbench output directory holding the records
 --workload <workload> --seed <seed>`` writes. For every workload and every
 end-to-end metric of BENCHMARK.json the file gives, per side, the median and
 quartiles over seeds and the per-seed values; for the seeds both sides ran,
-the ratio of the medians and how many of the seed pairs the change won. The
-machine facts and seeds are taken from the records.
+the ratio of the medians, how many of the seed pairs the change won, and two
+verdicts:
+
+- gain: "gain" when the change won at least nine tenths of the seed pairs
+  (ties count for neither) and its median is better than the parent's by
+  more than the parent's interquartile range, else "no gain";
+- regression: "regression" when the change's median is worse than the
+  parent's by more than the metric's bound (a share of the parent's
+  median); else "unresolved" when either side's interquartile range is
+  wider than that bound and not every change run beats every parent run;
+  else "within bound".
+
+The machine facts and seeds are taken from the records.
 
     python3 scripts/bench_summary.py --pr 7 \\
         --parent ../parent/.perfbench_out --change .perfbench_out
@@ -65,6 +76,23 @@ def side(runs, metric) -> dict:
     return {**spread(values), "values": dict(zip(map(str, seeds), values))}
 
 
+def gain_verdict(p, c, wins, n_pairs, sign) -> str:
+    met = (n_pairs > 0 and 10 * wins >= 9 * n_pairs
+           and sign * (c["median"] - p["median"]) > p["iqr"])
+    return "gain" if met else "no gain"
+
+
+def regression_verdict(p, c, bound, sign) -> str:
+    allowed = bound * abs(p["median"])
+    if sign * (p["median"] - c["median"]) > allowed:
+        return "regression"
+    every_run_better = all(sign * (cv - pv) > 0.0 for cv in c["values"].values()
+                           for pv in p["values"].values())
+    if max(p["iqr"], c["iqr"]) > allowed and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(parent, change, end_to_end) -> dict:
     workloads = {}
     for name in sorted(set(parent) & set(change)):
@@ -81,6 +109,8 @@ def summarize(parent, change, end_to_end) -> dict:
                 "parent": p, "change": c,
                 "change_over_parent": c["median"] / p["median"] if p["median"] else None,
                 "change_wins": f"{wins} of {len(paired)} seed pairs",
+                "gain": gain_verdict(p, c, wins, len(paired), sign),
+                "regression": regression_verdict(p, c, m["bound"], sign),
             }
         workloads[name] = {
             "seeds": {"parent": sorted(p_runs), "change": sorted(c_runs)},
@@ -118,7 +148,8 @@ def main(argv=None) -> int:
             print(f"{name:14s} {metric:12s} parent {m['parent']['median']:.4g} "
                   f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}]  change "
                   f"{m['change']['median']:.4g} [{m['change']['q1']:.4g}, "
-                  f"{m['change']['q3']:.4g}] {m['unit']}  wins {m['change_wins']}")
+                  f"{m['change']['q3']:.4g}] {m['unit']}  wins {m['change_wins']}  "
+                  f"{m['gain']}, {m['regression']}")
     print(f"wrote {os.path.normpath(out)}")
     return 0
 

@@ -224,6 +224,8 @@ class SpectralEstimate:
         block = np.asarray(block, dtype=complex)
         if block.shape == (0,):  # no matrices, so no matrix axes either
             block = block.reshape(0, 0, 0)
+        elif block.ndim == 1:  # one vector, refused under its own shape
+            block = block[None]
         object.__setattr__(self, "frequencies", _readonly(f))
         object.__setattr__(self, "matrices", _readonly(_check_kernels(block, f.size)))
 

@@ -135,7 +135,14 @@ def generate_fma1(model: Fma1Model, T: int,
     return FunctionalSeries(model.grid, coef @ basis_matrix(model.grid).T)
 
 
+def _check_integer(name: str, value) -> None:
+    """DomainError unless the value is an integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_length(T: int) -> None:
+    _check_integer("T", T)
     if T < 2:
         raise DomainError(f"need T >= 2, got {T}")
 
@@ -217,10 +224,14 @@ class ImseConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
+        for name in ("n_runs", "n_jobs", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.n_runs < 2:
             raise DomainError(f"need at least two runs, got {self.n_runs}")
         if self.n_jobs < 1:
             raise DomainError(f"n_jobs must be at least 1, got {self.n_jobs}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         # one row per (spec, T) and one trace per spec, labelled by its identifier
         if not self.T_list or not self.kernel_specs:
             raise DomainError("need at least one T and one kernel spec")

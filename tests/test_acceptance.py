@@ -371,3 +371,20 @@ def test_criterion_9_bench_determinism(tmp_path):
            f"rerun identical = {same_rerun}, parallel-8 identical = {same_parallel}")
     assert same_rerun
     assert same_parallel
+
+
+def test_bench_parallel_matches_serial_at_d50(tmp_path):
+    # beside criterion 9, at a size where the lag products take a different
+    # summation order under one and two BLAS threads: a pool whose workers
+    # alone ran one BLAS thread would write other bits than the serial run.
+    # The thread environment is left as found.
+    def run_bench(out, parallel):
+        res = subprocess.run(
+            [sys.executable, "-m", "ftspectra", "bench", "--T-list", "1024",
+             "--replications", "4", "--d", "50", "--seed", "9",
+             "--parallel", str(parallel), "--out-dir", str(out)],
+            capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    assert run_bench(tmp_path / "serial", 1) == run_bench(tmp_path / "pool", 2)

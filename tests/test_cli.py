@@ -255,6 +255,8 @@ class TestExitCodes:
          "--replications", "2", "--d", "8", "--out-dir", "{tmp}/b"],
         ["bench", "--parallel", "0", "--T-list", "16", "--kernels", "TR",
          "--replications", "2", "--d", "8", "--out-dir", "{tmp}/b"],
+        ["bench", "--seed", "-1", "--T-list", "16", "--kernels", "TR",
+         "--replications", "2", "--d", "8", "--out-dir", "{tmp}/b"],
         ["estimate", "--kernel", '{{"family":"TR","c":null}}'],
         ["estimate", "--kernel", '{{"family":"PR","c":1e400}}'],
         ["estimate", "--kernel", '{{"family":"PR","c":NaN}}'],
@@ -271,7 +273,8 @@ class TestExitCodes:
         ["estimate", "--kernel", "EPA", "--frequencies", "0.1,inf"],
         ["estimate", "--kernel", "EPA", "--frequencies", "nan"],
         ["estimate", "--kernel", "TR", "--frequencies", "inf"],
-    ], ids=["simulate-T1", "bench-2rate-above-1", "bench-parallel-0", "kernel-c-null",
+    ], ids=["simulate-T1", "bench-2rate-above-1", "bench-parallel-0", "bench-seed-negative",
+            "kernel-c-null",
             "kernel-c-overflow", "kernel-c-nan", "kernel-b-nan", "kernel-b-overflow",
             "kernel-c-bool", "kernel-c-string",
             "eps-nan", "eps-inf", "eps-negative-psd-none", "eps-nan-semidefinite",

@@ -198,7 +198,7 @@ class TestKernelErrors:
         (NAN2[None], [0.1], NumericError, FINITE),
         (H2[None], [0.1], DomainError, HERMITIAN),
         # double faults: the earlier check names the fault
-        (np.zeros(3), [0.1], DimensionError, SQUARE + "()"),
+        (np.zeros(3), [0.1], DimensionError, SQUARE + "(3,)"),
         (np.zeros((2, 2, 3)), [0.1], DimensionError, SQUARE + "(2, 3)"),
         ([np.zeros((2, 3))], [0.1, 0.2], DimensionError, SQUARE + "(2, 3)"),
         (np.stack([NAN2] * 2), [0.1], DimensionError, "2 kernels for 1 frequencies"),

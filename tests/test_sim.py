@@ -277,6 +277,33 @@ class TestImseExperiment:
         with pytest.raises(DomainError):  # 2 * 16^(-1/5) > 1
             resolve_bandwidths("2rate", generate_fma1(model, 16), (trapezoid(),))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(T_list=(64.7,)), "T must be an integer, got 64.7"),
+        (dict(T_list=(64, True)), "T must be an integer, got True"),
+        (dict(T_list=(np.float64(64.0),)), "T must be an integer, got np.float64(64.0)"),
+        (dict(n_runs=2.5), "n_runs must be an integer, got 2.5"),
+        (dict(n_runs=True), "n_runs must be an integer, got True"),
+        (dict(n_jobs=1.0), "n_jobs must be an integer, got 1.0"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed="3"), "seed must be an integer, got '3'"),
+        (dict(seed=-1), "seed must be nonnegative, got -1"),
+    ], ids=["T-fraction", "T-bool", "T-numpy-float", "n_runs-fraction", "n_runs-bool",
+            "n_jobs-float", "seed-fraction", "seed-string", "seed-negative"])
+    def test_counts_and_seed_checked_at_construction(self, kwargs, message):
+        with pytest.raises(DomainError) as raised:
+            ImseConfig(**kwargs)
+        assert str(raised.value) == message
+
+    def test_numpy_integers_accepted_and_T_kept_as_int(self):
+        config = ImseConfig(T_list=(np.int64(64), np.int32(128)), n_runs=np.int64(2),
+                            seed=np.uint32(3))
+        assert config.T_list == (64, 128)
+        assert all(type(T) is int for T in config.T_list)
+
+    def test_generator_refuses_a_fractional_length(self, model):
+        with pytest.raises(DomainError, match="T must be an integer, got 64.7"):
+            generate_fma1(model, 64.7)
+
     @pytest.mark.parametrize("argv, error, message", [
         (["--T-list", "2048,4", "--kernels", "TR", "--bandwidth", "auto", "--d", "50"],
          "DomainError", "bandwidth selection needs T >= 8, got T = 4"),
