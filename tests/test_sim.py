@@ -343,27 +343,26 @@ class TestImseExperiment:
         assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("kwargs, error, message", [
-        (dict(T_list=(2048, 4), kernel_specs=("TR",), bandwidth_mode="auto", d=50),
+        (dict(T_list=(2048, 4), kernel_specs=(trapezoid(),), bandwidth_mode="auto", d=50),
          DomainError, "bandwidth selection needs T >= 8, got T = 4"),
-        (dict(T_list=(2048, 1), n_jobs=2, kernel_specs=("TR",)),
+        (dict(T_list=(2048, 1), n_jobs=2, kernel_specs=(trapezoid(),)),
          DomainError, "need T >= 2, got 1"),
         (dict(T_list=(64,), d=1), DomainError, "grid needs an integer d >= 2, got 1"),
         (dict(T_list=(1,), d=1), DomainError, "grid needs an integer d >= 2, got 1"),
-        (dict(T_list=(64, 4), kernel_specs=("TR", "EPA"), bandwidth_mode="auto"),
+        (dict(T_list=(64, 4), kernel_specs=(trapezoid(), epanechnikov()),
+              bandwidth_mode="auto"),
          UnsupportedKernelError, "the effective flat-top radius is undefined for the "
          "Epanechnikov baseline; it enters the estimator directly as a "
          "frequency-domain weight"),
-        (dict(T_list=(1,), kernel_specs=("EPA",), bandwidth_mode="auto"),
+        (dict(T_list=(1,), kernel_specs=(epanechnikov(),), bandwidth_mode="auto"),
          DomainError, "need T >= 2, got 1"),
-        (dict(T_list=(64, 16), kernel_specs=("TR",), bandwidth_mode="2rate"),
+        (dict(T_list=(64, 16), kernel_specs=(trapezoid(),), bandwidth_mode="2rate"),
          DomainError, "bandwidth must lie in (0, 1], got 1.1486983549970349"),
     ], ids=["auto-T4", "T1-parallel", "d1", "d1-and-T1", "auto-baseline",
             "T1-and-auto-baseline", "2rate-T16"])
     def test_config_refuses_what_a_replication_would(self, kwargs, error, message):
         # the same refusals as test_bench_refuses_before_any_replication,
         # raised by ImseConfig itself
-        if "kernel_specs" in kwargs:
-            kwargs = dict(kwargs, kernel_specs=tuple(map(parse_kernel, kwargs["kernel_specs"])))
         with pytest.raises(error) as raised:
             ImseConfig(n_runs=20, **kwargs)
         assert type(raised.value) is error and str(raised.value) == message
