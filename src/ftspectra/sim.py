@@ -68,12 +68,20 @@ N_INNOV = 100
 ETA = _readonly(1.0 / ((np.arange(1, N_INNOV + 1) - 0.5) ** 2 * np.pi**2))
 
 
+#: Curves of a generate_fma1 innovation block, at the least; the last block
+#: takes the remainder, so fewer than twice this many curves are one block.
+#: OpenBLAS computes a product of up to 24 rows of innovations by another
+#: kernel, with other bits than the same rows of a whole-series product.
+_BLOCK_ROWS = 256
+
+
+@functools.lru_cache(maxsize=8)
 def basis_matrix(grid: Grid) -> np.ndarray:
     """d x N_BASIS matrix of the orthonormal sine system
     sqrt(2)*sin((m-1/2)*pi*tau) on the grid; exactly orthonormal under the
-    midpoint 1/d quadrature."""
+    midpoint 1/d quadrature. Built once per grid and read-only."""
     m = np.arange(1, N_BASIS + 1)
-    return np.sqrt(2.0) * np.sin(np.outer(grid.points, (m - 0.5) * np.pi))
+    return _readonly(np.sqrt(2.0) * np.sin(np.outer(grid.points, (m - 0.5) * np.pi)))
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,8 @@ class Fma1Model:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.seed is not None:
+            _check_seed(self.seed)
         for name in ("a0", "a1"):
             a = np.asarray(getattr(self, name), dtype=float)
             if a.shape != (N_BASIS, N_INNOV):
@@ -107,7 +117,9 @@ def _draw_operators(rng: np.random.Generator):
 
 
 def make_fma1_model(seed: int, d: int = 100) -> Fma1Model:
-    """Draw random coefficient operators from the seed and assemble a model."""
+    """Draw random coefficient operators from the seed and assemble a model;
+    DomainError unless the seed is a nonnegative integer."""
+    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     a0, a1 = _draw_operators(rng)
     return Fma1Model(a0, a1, Grid(d), seed=seed)
@@ -121,17 +133,35 @@ def generate_fma1(model: Fma1Model, T: int,
     Gaussians with variances ETA; curve t is (A0 eps_t + A1 eps_{t-1}) mapped
     through the sine basis. Reproducible: the default generator derives from
     the model seed.
+
+    The innovations are drawn in blocks of 256 curves or more, each block's
+    last row carried into the next, and mapped to their T x N_BASIS
+    coefficients block by block: the same random stream and the same bits as
+    drawing all T + 1 rows at once, with no (T + 1) x N_INNOV matrix. The
+    coefficients go to the grid in one product, since a row block of that
+    d-column product can differ in its last bits from the whole (measured
+    at d > 192 not a multiple of 8).
     """
     _check_length(T)
     if rng is None:
         if model.seed is None:
             raise DomainError("model has no seed; pass an explicit generator")
         rng = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(2)[1])
-    eps = rng.standard_normal((T + 1, N_INNOV))
-    eps *= np.sqrt(ETA)
-    coef = eps[1:] @ model.a0.T
-    coef += eps[:-1] @ model.a1.T
-    del eps
+    edges = [*range(0, max(T // _BLOCK_ROWS, 1) * _BLOCK_ROWS, _BLOCK_ROWS), T]
+    n = T - edges[-2]   # the last block is the largest
+    eps, lagged = np.empty((n + 1, N_INNOV)), np.empty((n, N_BASIS))
+    coef = np.empty((T, N_BASIS))
+    sd = np.sqrt(ETA)
+    rng.standard_normal(out=eps[0])
+    eps[0] *= sd
+    for start, stop in zip(edges, edges[1:]):
+        block, n = eps[: stop - start + 1], stop - start   # eps_(start-1)..eps_(stop-1)
+        rng.standard_normal(out=block[1:])
+        block[1:] *= sd
+        np.matmul(block[1:], model.a0.T, out=coef[start:stop])
+        np.matmul(block[:-1], model.a1.T, out=lagged[:n])
+        coef[start:stop] += lagged[:n]
+        eps[0] = block[-1]
     return FunctionalSeries(model.grid, coef @ basis_matrix(model.grid).T)
 
 
@@ -139,6 +169,13 @@ def _check_integer(name: str, value) -> None:
     """DomainError unless the value is an integer (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """DomainError unless the seed is a nonnegative integer (not a bool)."""
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
 
 
 def _check_length(T: int) -> None:
@@ -224,14 +261,13 @@ class ImseConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        for name in ("n_runs", "n_jobs", "seed"):
+        for name in ("n_runs", "n_jobs"):
             _check_integer(name, getattr(self, name))
+        _check_seed(self.seed)
         if self.n_runs < 2:
             raise DomainError(f"need at least two runs, got {self.n_runs}")
         if self.n_jobs < 1:
             raise DomainError(f"n_jobs must be at least 1, got {self.n_jobs}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         # one row per (spec, T) and one trace per spec, labelled by its identifier
         if not self.T_list or not self.kernel_specs:
             raise DomainError("need at least one T and one kernel spec")
@@ -319,8 +355,9 @@ def _estimates(specs, mode, series: FunctionalSeries, frequencies=None):
     estimates share one lag stack."""
     frequencies = _frequencies(frequencies)
     bandwidths = resolve_bandwidths(mode, series, specs)
-    return _estimate_specs(center(series).values, specs, bandwidths,
-                           frequencies, METHOD_SMOOTHED)
+    values = center(series).values
+    del series  # the shared work needs only the centered values
+    return _estimate_specs(values, specs, bandwidths, frequencies, METHOD_SMOOTHED)
 
 
 def _run_replication(config: ImseConfig, task) -> list:

@@ -288,6 +288,23 @@ class TestExitCodes:
         assert json.loads(res.stderr)["error"]["type"] == "DomainError"
 
     @pytest.mark.parametrize("args", [
+        ["simulate", "--T", "16", "--out", "{tmp}/x.csv"],
+        ["bench", "--T-list", "16", "--kernels", "TR", "--replications", "2", "--d", "8",
+         "--out-dir", "{tmp}/b"],
+    ], ids=["simulate", "bench"])
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "seed must be nonnegative, got -1"),
+        ("2.5", "argument --seed: invalid int value: '2.5'"),
+    ], ids=["negative", "fraction"])
+    def test_every_command_refuses_a_seed_alike(self, tmp_path, capsys, args, seed, message):
+        # simulate once reported numpy's ValueError for a negative seed
+        code = cli.main([a.format(tmp=tmp_path) for a in args] + ["--seed", seed])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            {"code": 1, "type": "DomainError", "message": message}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
         ["estimate", "--kernel", "EPA", "--bandwidth", "auto", "--input", "{data}",
          "--out", "{tmp}/x"],
         ["bench", "--kernels", "EPA", "--bandwidth", "auto", "--T-list", "16",

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,48 @@ class TestGenerate:
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(reps)
         assert np.all(np.abs(mean - truth) <= 3.0 * se + 1e-12)
+
+
+def whole_matrix_fma1(model, T, rng):
+    """The generator's values from one (T + 1) x N_INNOV draw and
+    whole-series products, as it was first written."""
+    eps = rng.standard_normal((T + 1, sim.N_INNOV))
+    eps *= np.sqrt(sim.ETA)
+    coef = eps[1:] @ model.a0.T
+    coef += eps[:-1] @ model.a1.T
+    m = np.arange(1, sim.N_BASIS + 1)
+    psi = np.sqrt(2.0) * np.sin(np.outer(model.grid.points, (m - 0.5) * np.pi))
+    return coef @ psi.T
+
+
+class TestStreamedGenerator:
+    @pytest.mark.parametrize("T", [2, 3, 24, 25, 255, 256, 257, 511, 512, 513, 1000, 2048,
+                                   2049, 4099])
+    @pytest.mark.parametrize("d", [2, 12, 50, 100])
+    def test_same_bits_as_the_whole_matrix_draw(self, T, d):
+        # a block of a few rows would give other bits under OpenBLAS, so the
+        # remainder joins the last block (257 = one block, 4099 = 15 x 256 + 259)
+        model = make_fma1_model(1000 * d + T, d=d)
+        seeded = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(2)[1])
+        cases = [(generate_fma1(model, T), seeded),
+                 (generate_fma1(model, T, rng=np.random.default_rng(T)),
+                  np.random.default_rng(T))]
+        for series, rng in cases:
+            expected = whole_matrix_fma1(model, T, rng)
+            assert np.array_equal(series.values.view(np.uint64), expected.view(np.uint64))
+
+    def test_holds_no_whole_innovation_matrix(self):
+        model = make_fma1_model(5, d=2)
+        T = 4099
+        generate_fma1(model, T)
+        tracemalloc.start()
+        try:
+            generate_fma1(model, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # less than the (T + 1) x N_INNOV innovation matrix alone
+        assert peak < (T + 1) * sim.N_INNOV * 8
 
 
 class TestTrueSpectrum:
@@ -299,6 +342,24 @@ class TestImseExperiment:
                             seed=np.uint32(3))
         assert config.T_list == (64, 128)
         assert all(type(T) is int for T in config.T_list)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be nonnegative, got -1"),
+        (2.5, "seed must be an integer, got 2.5"),
+        (True, "seed must be an integer, got True"),
+    ], ids=["negative", "fraction", "bool"])
+    def test_one_seed_rule(self, model, seed, message):
+        # the model, its maker and the benchmark config refuse a seed alike
+        for make in (lambda: make_fma1_model(seed, d=8),
+                     lambda: Fma1Model(model.a0, model.a1, model.grid, seed=seed),
+                     lambda: ImseConfig(seed=seed)):
+            with pytest.raises(DomainError) as raised:
+                make()
+            assert str(raised.value) == message
+
+    def test_numpy_integer_seed_accepted(self):
+        assert np.array_equal(make_fma1_model(np.uint32(3), d=8).a0,
+                              make_fma1_model(3, d=8).a0)
 
     def test_generator_refuses_a_fractional_length(self, model):
         with pytest.raises(DomainError, match="T must be an integer, got 64.7"):
