@@ -145,7 +145,8 @@ class TestGenerate:
 
 def whole_matrix_fma1(model, T, rng):
     """The generator's values from one (T + 1) x N_INNOV draw and
-    whole-series products, as it was first written."""
+    whole-series products: the reference the streamed draw equals bit for
+    bit."""
     eps = rng.standard_normal((T + 1, sim.N_INNOV))
     eps *= np.sqrt(sim.ETA)
     coef = eps[1:] @ model.a0.T
