@@ -6,7 +6,6 @@ input."""
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from .core import (
     FunctionalSeries,
     SpectralEstimate,
     _hermitian_sum,
-    _readonly,
     center,
     check_frequencies,
 )
@@ -34,10 +32,6 @@ DEFAULT_FREQUENCIES = np.pi * np.arange(10) / 10.0
 
 METHOD_SMOOTHED = "smoothed-periodogram"
 METHOD_LAG_WINDOW = "lag-window"
-
-#: Entries of each memoized table: the tables depend on (spec, bandwidth, T,
-#: frequencies) alone, which a Monte-Carlo run repeats in every replication.
-_TABLE_CACHE_SIZE = 32
 
 
 def fdft_all(series: FunctionalSeries) -> np.ndarray:
@@ -108,40 +102,27 @@ def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.
     weights with the stack, with no complex copy of the stack or of A.
     """
     n, d = stack.shape[0], stack.shape[1]
-    rows = _phase_rows(np.asarray(lam[:n], dtype=float).tobytes(),
-                       np.asarray(frequencies, dtype=float).tobytes())
-    return _hermitian_sum(*(rows.T @ stack.reshape(n, d * d)).reshape(2, -1, d, d))
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _phase_rows(lam: bytes, frequencies: bytes) -> np.ndarray:
-    """The real and the imaginary parts of _lag_sum's phase weights
-    lam_u e^(-i omega u) / (2*pi) (lag 0 at half weight) side by side, one
-    row per lag: (n_lags, 2 * n_frequencies), read-only. The lag weights and
-    the frequencies come as float64 bytes, which tell -0.0 from 0.0."""
-    lam, frequencies = np.frombuffer(lam), np.frombuffer(frequencies)
-    w = lam / TWO_PI
+    w = lam[:n] / TWO_PI
     w[0] *= 0.5
-    phase = np.exp(-1j * np.outer(np.arange(lam.size), frequencies)) * w[:, None]
+    phase = np.exp(-1j * np.outer(np.arange(n), frequencies)) * w[:, None]
     # lag-major weights make the left operand a transposed one, for which
     # OpenBLAS sums each entry over the lags as the complex phase.T @ stack
     # does: the same bits for two or more frequencies and up to 20 lags
-    return _readonly(np.concatenate([phase.real, phase.imag], axis=1))
+    rows = np.concatenate([phase.real, phase.imag], axis=1)
+    return _hermitian_sum(*(rows.T @ stack.reshape(n, d * d)).reshape(2, -1, d, d))
 
 
 def _frequencies(frequencies) -> np.ndarray:
     return check_frequencies(DEFAULT_FREQUENCIES if frequencies is None else frequencies)
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _flat_top_lags(spec, bandwidth, T: int, circular: bool) -> np.ndarray:
     """lam(B u) for u = 0..L, L the last lag with a nonzero weight (linear lags
-    end at T - 1), read-only; the trailing zero weights add nothing to the
-    lag sum."""
+    end at T - 1); the trailing zero weights add nothing to the lag sum."""
     lam = lag_weights(spec, bandwidth)
     if not circular:
         lam = lam[:T]
-    return _readonly(lam[: int(np.flatnonzero(lam)[-1]) + 1])
+    return lam[: int(np.flatnonzero(lam)[-1]) + 1]
 
 
 def _baseline_block(H, T, bandwidth, frequencies) -> np.ndarray:
@@ -152,34 +133,23 @@ def _baseline_block(H, T, bandwidth, frequencies) -> np.ndarray:
     H holds the fDFT rows 0..T//2 of the centered series. A row s > T/2 is
     F_s = conj(H_(T-s)), so those terms add up to the conjugate of
     sum_r W(omega - 2*pi*(T-r)/T) H_r H_r^H over r = 1..(T-1)//2; the row
-    T/2 of an even T enters once. Only the gathered rows are conjugated."""
+    T/2 of an even T enters once. One weight row at a time, O(T) memory:
+    only the gathered rows are conjugated."""
     H = H[1:]
+    omegas = TWO_PI * np.arange(1, T) / T
     acc = np.empty((len(frequencies), H.shape[1], H.shape[1]), dtype=complex)
-    table = _baseline_ordinates(T, bandwidth, np.asarray(frequencies, dtype=float).tobytes())
-    for m, (s, low, r, high) in zip(acc, table):
-        m[...] = (H[s].T * low) @ H[s].conj()
-        m += (H[r].conj().T * high) @ H[r]
+    for m, w in zip(acc, frequencies):
+        weights = baseline_weight(bandwidth, w - omegas)
+        # low weighs the fDFT rows s = 1..T//2; high the conjugates of rows
+        # r = 1..(T-1)//2, which are the ordinates s = T - r
+        low, high = weights[: T // 2], weights[T // 2:][::-1]
+        s, r = np.flatnonzero(low), np.flatnonzero(high)
+        m[...] = (H[s].T * low[s]) @ H[s].conj()
+        m += (H[r].conj().T * high[r]) @ H[r]
     # (2*pi/T) * (m + m^H) / 2, exactly Hermitian
     block = _hermitian_sum(acc.real, acc.imag)
     block *= np.pi / T
     return block
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _baseline_ordinates(T: int, bandwidth: float, frequencies: bytes) -> tuple:
-    """For each frequency omega, given as float64 bytes, the terms of
-    _baseline_block with a nonzero weight W(omega - 2*pi*s/T): the positions
-    in H[1:] of the fDFT rows s = 1..T//2 with their weights, then those of
-    the rows r = 1..(T-1)//2 whose conjugates are the ordinates s = T - r
-    with theirs; read-only. One weight row at a time, O(T) memory."""
-    omegas = TWO_PI * np.arange(1, T) / T
-    table = []
-    for w in np.frombuffer(frequencies):
-        weights = baseline_weight(bandwidth, w - omegas)
-        low, high = weights[: T // 2], weights[T // 2:][::-1]
-        s, r = np.flatnonzero(low), np.flatnonzero(high)
-        table.append(tuple(map(_readonly, (s, low[s], r, high[r]))))
-    return tuple(table)
 
 
 def _estimate_specs(values, specs, bandwidths, frequencies, method):

@@ -75,13 +75,12 @@ ETA = _readonly(1.0 / ((np.arange(1, N_INNOV + 1) - 0.5) ** 2 * np.pi**2))
 _BLOCK_ROWS = 256
 
 
-@functools.lru_cache(maxsize=8)
 def basis_matrix(grid: Grid) -> np.ndarray:
     """d x N_BASIS matrix of the orthonormal sine system
     sqrt(2)*sin((m-1/2)*pi*tau) on the grid; exactly orthonormal under the
-    midpoint 1/d quadrature. Built once per grid and read-only."""
+    midpoint 1/d quadrature."""
     m = np.arange(1, N_BASIS + 1)
-    return _readonly(np.sqrt(2.0) * np.sin(np.outer(grid.points, (m - 0.5) * np.pi)))
+    return np.sqrt(2.0) * np.sin(np.outer(grid.points, (m - 0.5) * np.pi))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import inspect
 import json
 
 import numpy as np
@@ -31,7 +30,6 @@ from ftspectra import (
 )
 from ftspectra import estimator
 from ftspectra.estimator import DEFAULT_FREQUENCIES
-from ftspectra.sim import basis_matrix
 
 FLAT_TOPS = [trapezoid(), flat_top_parzen(), infinitely_differentiable()]
 IDS = ["TR", "PR", "ID"]
@@ -460,63 +458,9 @@ def test_every_block_is_checked(fma_series, monkeypatch, spec, bad, error):
         estimate_smoothed(fma_series, spec, 0.3)
 
 
-def clear_tables():
-    for table in (estimator._flat_top_lags, estimator._phase_rows,
-                  estimator._baseline_ordinates):
-        table.cache_clear()
-
-
-TABLE_CASES = [(estimate, spec, bandwidth, frequencies)
-               for estimate, spec in [(estimate_smoothed, epanechnikov()),
-                                      (estimate_smoothed, trapezoid()),
-                                      (estimate_smoothed, infinitely_differentiable()),
-                                      (estimate_lagwindow, trapezoid()),
-                                      (estimate_lagwindow, flat_top_parzen())]
-               for bandwidth in (0.3, 0.6)
-               for frequencies in (None, np.linspace(0.0, np.pi, 7))]
-
-
-def test_estimates_do_not_depend_on_the_memoized_tables(fma_series):
-    # each estimate made from empty tables, then again from full ones, then
-    # from emptied tables in reverse and in interleaved orders
-    def bits(i):
-        estimate, spec, bandwidth, frequencies = TABLE_CASES[i]
-        est = estimate(fma_series, spec, bandwidth, frequencies)
-        return est.matrices.view(np.uint64).copy()
-
-    cold = []
-    for i in range(len(TABLE_CASES)):
-        clear_tables()
-        cold.append(bits(i))
-    hits = estimator._phase_rows.cache_info().hits
-    warm = [bits(i) for i in range(len(TABLE_CASES))]
-    assert estimator._phase_rows.cache_info().hits > hits
-    clear_tables()
-    reverse = {i: bits(i) for i in reversed(range(len(TABLE_CASES)))}
-    clear_tables()
-    order = [*range(0, len(TABLE_CASES), 2), *range(1, len(TABLE_CASES), 2)]
-    interleaved = {i: bits(i) for i in order * 2}
-    for i, expected in enumerate(cold):
-        for got in (warm[i], reverse[i], interleaved[i]):
-            assert np.array_equal(got, expected), TABLE_CASES[i]
-
-
-def test_memoized_tables_are_read_only():
-    frequencies = DEFAULT_FREQUENCIES.tobytes()
-    lam = estimator._flat_top_lags(trapezoid(), 0.3, 64, circular=True)
-    tables = [lam, estimator._flat_top_lags(trapezoid(), 0.3, 64, circular=False),
-              estimator._phase_rows(lam.tobytes(), frequencies), basis_matrix(Grid(12))]
-    for ordinates in estimator._baseline_ordinates(64, 0.3, frequencies):
-        tables.extend(ordinates)
-    for table in tables:
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 0.0
-
-
 def test_blocks_are_fresh_arrays(fma_series):
-    # _lag_sum and _baseline_block build on memoized tables but hand back a
-    # new block each call, which the caller may change
+    # _lag_sum and _baseline_block hand back a new block each call, which
+    # the caller may change
     values = fma_series.values
     lam = estimator._flat_top_lags(trapezoid(), 0.3, values.shape[0], True)
     stack = estimator._autocovariance_stack(values, lam.size - 1, True)
@@ -529,15 +473,3 @@ def test_blocks_are_fresh_arrays(fma_series):
         first[...] = np.nan
         assert np.array_equal(build(), expected)
         assert np.array_equal(second, expected)
-
-
-@pytest.mark.parametrize("name, parameters", [
-    ("_lag_sum", ["stack", "lam", "frequencies"]),
-    ("_flat_top_lags", ["spec", "bandwidth", "T", "circular"]),
-    ("_fdft", ["values"]),
-    ("_autocovariance_stack", ["values", "n_lags", "circular"]),
-    ("_baseline_block", ["H", "T", "bandwidth", "frequencies"]),
-])
-def test_private_signatures_that_tests_use(name, parameters):
-    # the tests call these helpers or patch them on the module
-    assert list(inspect.signature(getattr(estimator, name)).parameters) == parameters
