@@ -19,6 +19,8 @@ from .core import (
     DomainError,
     FunctionalSeries,
     center,
+    _check_positive,
+    _is_integer,
     _readonly,
 )
 from .estimator import _autocovariance_stack, _check_lag, _lag_product
@@ -79,8 +81,7 @@ def correlogram(series: FunctionalSeries, lag: int, tau_idx: int, sigma_idx: int
     """
     lag = _check_lag(lag, series.n_curves)
     for idx in (tau_idx, sigma_idx):
-        if (isinstance(idx, bool) or not isinstance(idx, (int, np.integer))
-                or not 0 <= idx < series.d):
+        if not _is_integer(idx) or not 0 <= idx < series.d:
             raise DomainError(f"grid index must be an integer in 0..{series.d - 1}, "
                               f"got {idx!r}")
     xy = center(series).values[:, [tau_idx, sigma_idx]]
@@ -118,8 +119,7 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
     _check_series_length(T)
     if window_start not in (0, 1):
         raise DomainError(f"window_start must be 0 or 1, got {window_start}")
-    if not (math.isfinite(C0) and C0 > 0.0):
-        raise DomainError(f"C0 must be finite and positive, got {C0}")
+    C0 = _check_positive("C0", C0)
     if aggregation not in ("max", "mean"):
         raise DomainError(f"aggregation must be 'max' or 'mean', got {aggregation!r}")
     K_T = max(5, math.ceil(math.sqrt(math.log10(T))))
@@ -151,7 +151,7 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
     q_hat = (int(q_grid.max()) if aggregation == "max"
              else int(math.ceil(q_grid.mean())))
     return BandwidthReport(q_hat=q_hat, q_grid=q_grid, B_T=_bandwidth_from_q(q_hat, c_ef),
-                           c_ef=c_ef, C0=float(C0), K_T=K_T, aggregation=aggregation,
+                           c_ef=c_ef, C0=C0, K_T=K_T, aggregation=aggregation,
                            threshold=threshold, window_start=window_start,
                            truncated=not found.all())
 

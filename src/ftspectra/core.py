@@ -37,6 +37,26 @@ class ParseError(ValueError):
     """An input file could not be parsed into the expected structure."""
 
 
+def _is_integer(value) -> bool:
+    """Whether the value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integer(name: str, value) -> int:
+    """The value as an int; DomainError, naming it, unless _is_integer."""
+    if not _is_integer(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_positive(name: str, value) -> float:
+    """The value as a float; DomainError, naming it, unless finite and > 0."""
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -55,7 +75,7 @@ class Grid:
     d: int
 
     def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d < 2:
+        if not _is_integer(self.d) or self.d < 2:
             raise DomainError(f"grid needs an integer d >= 2, got {self.d!r}")
 
     @property
@@ -438,16 +458,10 @@ def series_from_json_dict(obj: dict) -> FunctionalSeries:
     """Read {"d", "T", "values"}; d and T must be JSON integers (not bools),
     T is optional and other keys, such as the "centered" flag of older
     files, are ignored."""
-    def integer(key):
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{key} must be an integer, got {value!r}")
-        return value
-
     try:
-        d = integer("d")
+        d = _check_integer("d", obj["d"])
         values = np.asarray(obj["values"], dtype=float)
-        T = integer("T") if "T" in obj else None
+        T = _check_integer("T", obj["T"]) if "T" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad series JSON: {exc}") from exc
     if T is not None and values.shape[:1] != (T,):

@@ -15,6 +15,7 @@ from .core import (
     DomainError,
     FunctionalSeries,
     SpectralEstimate,
+    _check_integer,
     _hermitian_sum,
     center,
     check_frequencies,
@@ -72,13 +73,11 @@ def autocovariance(series: FunctionalSeries, lag: int) -> np.ndarray:
 
 
 def _check_lag(lag, T: int) -> int:
-    """The lag as an int; DomainError unless it is an integer, not a bool,
-    with |lag| < T."""
-    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)):
-        raise DomainError(f"lag must be an integer, got {lag!r}")
+    """The lag as an int; DomainError unless an integer with |lag| < T."""
+    lag = _check_integer("lag", lag)
     if abs(lag) >= T:
         raise DomainError(f"lag {lag} out of range for T = {T}")
-    return int(lag)
+    return lag
 
 
 def _autocovariance_stack(values: np.ndarray, n_lags: int, circular: bool) -> np.ndarray:

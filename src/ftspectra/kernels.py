@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DomainError, ParseError
+from .core import DomainError, ParseError, _check_positive, _is_integer
 
 __all__ = [
     "KernelFamily",
@@ -81,19 +81,13 @@ class FlatTopSpec:
             if c is not None or b is not None:
                 raise DomainError("the Epanechnikov baseline takes no c or b")
         else:
-            if c is None:
-                c = _DEFAULT_C[family]
-            c = float(c)
+            c = float(_DEFAULT_C[family] if c is None else c)
             if family is KernelFamily.FLAT_TOP_PARZEN:
-                if not (math.isfinite(c) and c > 0.0):
-                    raise DomainError(f"flat-top Parzen needs a finite c > 0, got {c}")
+                c = _check_positive("flat-top Parzen c", c)
             elif not 0.0 < c < 1.0:
                 raise DomainError(f"{family.value} needs 0 < c < 1, got {c}")
             if family is KernelFamily.INFINITELY_DIFFERENTIABLE:
-                b = _DEFAULT_B if b is None else float(b)
-                if not (math.isfinite(b) and b > 0.0):
-                    raise DomainError(
-                        f"shape parameter b must be finite and positive, got {b}")
+                b = _check_positive("shape parameter b", _DEFAULT_B if b is None else b)
             elif b is not None:
                 raise DomainError(f"{family.value} takes no shape parameter b")
         object.__setattr__(self, "c", c)
@@ -226,14 +220,20 @@ def check_bandwidth(bandwidth: float) -> float:
     return bandwidth
 
 
+def _lag_count(spec: FlatTopSpec, bandwidth: float) -> int:
+    """ceil(S / bandwidth) for a checked bandwidth; DomainError beyond 10^7.
+    The ratio is compared first: the ceil of a subnormal's inf overflows."""
+    ratio = support_radius(spec) / bandwidth
+    if not ratio <= 10**7:
+        raise DomainError(f"bandwidth {bandwidth} is too small to periodize")
+    return math.ceil(ratio)
+
+
 def lag_weights(spec: FlatTopSpec, bandwidth: float) -> np.ndarray:
     """Taper values lam(bandwidth * u) for u = 0 .. ceil(S / bandwidth); all
     later lags fall outside the support and contribute exactly zero."""
     bandwidth = check_bandwidth(bandwidth)
-    n = int(math.ceil(support_radius(spec) / bandwidth))
-    if n > 10**7:
-        raise DomainError(f"bandwidth {bandwidth} is too small to periodize")
-    return lambda_eval(spec, bandwidth * np.arange(n + 1))
+    return lambda_eval(spec, bandwidth * np.arange(_lag_count(spec, bandwidth) + 1))
 
 
 def weight_function(spec: FlatTopSpec, bandwidth: float, x):
@@ -282,11 +282,9 @@ def kernel_moment(spec: FlatTopSpec, k: int, truncation: float = 200.0) -> float
     as exact zeros.
     """
     _require_flat_top(spec, "kernel moments")
-    if k < 0 or k != int(k):
-        raise DomainError(f"moment order must be a nonnegative integer, got {k}")
-    truncation = float(truncation)
-    if truncation <= 0.0:
-        raise DomainError(f"truncation radius must be positive, got {truncation}")
+    if not _is_integer(k) or k < 0:
+        raise DomainError(f"moment order must be a nonnegative integer, got {k!r}")
+    truncation = _check_positive("truncation radius", truncation)
     if k % 2 == 1:
         return 0.0
     nodes, weights = _gauss_legendre_panels(

@@ -5,7 +5,6 @@ positive definiteness (eigenvalues floored at a small epsilon)."""
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -14,6 +13,7 @@ from .core import (
     FrequencyKernel,
     NumericError,
     SpectralEstimate,
+    _check_positive,
     _hermitian_sum,
 )
 
@@ -55,14 +55,6 @@ def _clip(block: np.ndarray, floor: float) -> np.ndarray:
     return m
 
 
-def _check_floor(eps) -> float:
-    """The eigenvalue floor as a float; DomainError unless finite and positive."""
-    eps = float(eps)
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"eigenvalue floor must be finite and positive, got {eps}")
-    return eps
-
-
 def clip_to_psd(kernel: FrequencyKernel) -> FrequencyKernel:
     """Replace negative eigenvalues by zero: the Frobenius-norm projection of
     the Hermitian matrix onto the positive semi-definite cone. Idempotent and
@@ -74,7 +66,7 @@ def clip_to_pd(kernel: FrequencyKernel, eps: float) -> FrequencyKernel:
     """Floor all eigenvalues at a finite eps > 0, producing a strictly
     positive definite matrix; differs from the PSD clip by at most eps per
     clipped eigenvalue. A floor of order 1/T keeps the estimator's accuracy."""
-    return FrequencyKernel(_clip(kernel.matrix, _check_floor(eps)))
+    return FrequencyKernel(_clip(kernel.matrix, _check_positive("eigenvalue floor", eps)))
 
 
 def min_eigenvalue(kernel: FrequencyKernel) -> float:
@@ -91,7 +83,7 @@ def clip_estimate(estimate: SpectralEstimate, mode: str,
     clip_to_pd checks it, whatever the mode.
     """
     if eps is not None:
-        eps = _check_floor(eps)
+        eps = _check_positive("eigenvalue floor", eps)
     if mode == "none":
         return estimate
     if mode == "semidefinite":

@@ -20,6 +20,7 @@ from .core import (
     FunctionalSeries,
     Grid,
     SpectralEstimate,
+    _check_integer,
     _readonly,
     center,
     write_csv,
@@ -34,6 +35,7 @@ from .estimator import (
     estimate_smoothed,  # not called here; perfbench's traced runs wrap sim.estimate_smoothed
 )
 from .kernels import (
+    _lag_count,
     check_bandwidth,
     effective_flat_top_radius,
     epanechnikov,
@@ -164,22 +166,14 @@ def generate_fma1(model: Fma1Model, T: int,
     return FunctionalSeries(model.grid, coef @ basis_matrix(model.grid).T)
 
 
-def _check_integer(name: str, value) -> None:
-    """DomainError unless the value is an integer (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_seed(seed) -> None:
     """DomainError unless the seed is a nonnegative integer (not a bool)."""
-    _check_integer("seed", seed)
-    if seed < 0:
+    if _check_integer("seed", seed) < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
 
 
 def _check_length(T: int) -> None:
-    _check_integer("T", T)
-    if T < 2:
+    if _check_integer("T", T) < 2:
         raise DomainError(f"need T >= 2, got {T}")
 
 
@@ -288,7 +282,10 @@ class ImseConfig:
                     effective_flat_top_radius(spec)
                 _check_series_length(T)
             else:
-                _rate_bandwidth(self.bandwidth_mode, T)
+                bandwidth = _rate_bandwidth(self.bandwidth_mode, T)
+                for spec in self.kernel_specs:
+                    if spec.is_flat_top:
+                        _lag_count(spec, bandwidth)
         object.__setattr__(self, "T_list", tuple(map(int, self.T_list)))
 
 

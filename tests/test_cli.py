@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ftspectra import (
     clip_estimate,
@@ -19,6 +25,7 @@ from ftspectra import (
     parse_kernel,
     select_bandwidth,
     series_from_csv,
+    series_to_csv,
     trapezoid,
     true_spectrum,
 )
@@ -52,6 +59,25 @@ def data_csv(tmp_path_factory):
                   "--seed", "7", "--out", str(path))
     assert res.returncode == 0, res.stderr
     return path
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "small.csv"
+    series_to_csv(generate_fma1(make_fma1_model(7, d=4), 64), path)
+    return path
+
+
+# The edges of the float range: signed zeros, subnormals, the smallest
+# normal, values near the largest, the infinities and nan; and floats drawn
+# at large. A valid bandwidth B costs memory in proportion to S/B lags, up
+# to the 10^7-lag limit, so the draws leave out (1e-8, 1e-4): below it
+# every B is refused, above it the largest lag stack is a few MB.
+FLAG_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                     1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(max_value=1e-8), st.floats(min_value=1e-4))
 
 
 class TestSimulate:
@@ -273,13 +299,16 @@ class TestExitCodes:
         ["estimate", "--kernel", "EPA", "--frequencies", "0.1,inf"],
         ["estimate", "--kernel", "EPA", "--frequencies", "nan"],
         ["estimate", "--kernel", "TR", "--frequencies", "inf"],
+        ["estimate", "--bandwidth", "5e-324"],
+        ["bench", "--bandwidth", "1e-310", "--T-list", "16", "--kernels", "TR",
+         "--replications", "2", "--d", "8", "--out-dir", "{tmp}/b"],
     ], ids=["simulate-T1", "bench-2rate-above-1", "bench-parallel-0", "bench-seed-negative",
             "kernel-c-null",
             "kernel-c-overflow", "kernel-c-nan", "kernel-b-nan", "kernel-b-overflow",
             "kernel-c-bool", "kernel-c-string",
             "eps-nan", "eps-inf", "eps-negative-psd-none", "eps-nan-semidefinite",
             "C0-nan", "C0-inf", "EPA-frequency-inf", "EPA-frequency-nan",
-            "TR-frequency-inf"])
+            "TR-frequency-inf", "bandwidth-subnormal", "bench-bandwidth-subnormal"])
     def test_out_of_range_parameter_is_config_error(self, tmp_path, data_csv, args):
         if args[0] in ("estimate", "bandwidth"):
             args = args + ["--input", str(data_csv), "--out", "{tmp}/x"]
@@ -360,6 +389,32 @@ class TestExitCodes:
         res = run_cli("bandwidth", "--input", str(data_csv),
                       "--out", str(tmp_path / "r.json"))
         assert res.returncode == 0
+
+    @settings(deadline=None, max_examples=30)
+    @example(value=5e-324)
+    @example(value=1e-310)
+    @given(value=FLAG_FLOATS)
+    @pytest.mark.parametrize("argv, flag", [
+        (["estimate", "--input", "{data}", "--out", "{tmp}/x"], "--bandwidth"),
+        (["estimate", "--psd", "definite", "--input", "{data}", "--out", "{tmp}/x"],
+         "--eps"),
+        (["estimate", "--input", "{data}", "--out", "{tmp}/x"], "--frequencies"),
+        (["bandwidth", "--input", "{data}", "--out", "{tmp}/x"], "--C0"),
+        (["bench", "--T-list", "16", "--replications", "2", "--d", "4",
+          "--out-dir", "{tmp}/b"], "--bandwidth"),
+    ], ids=["estimate-bandwidth", "estimate-eps", "estimate-frequencies", "bandwidth-C0",
+            "bench-bandwidth"])
+    def test_float_flags_end_in_a_mapped_exit_code(self, small_csv, argv, flag, value):
+        # no float a flag reads escapes main as an exception; a failure is
+        # one JSON error line whose code is the exit code
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+            code = cli.main([a.format(data=small_csv, tmp=tmp) for a in argv]
+                            + [f"{flag}={value!r}"])
+        assert code in (0, 1, 2, 3)
+        if code:
+            line, = stderr.getvalue().splitlines()
+            assert json.loads(line)["error"]["code"] == code
 
 
 class TestConfigFile:

@@ -203,6 +203,9 @@ class TestWeightFunction:
         for b in (0.0, -0.2, 1.5):
             with pytest.raises(DomainError):
                 weight_function(trapezoid(), b, 0.0)
+        # S / B is infinite for a subnormal B, and the ceil of inf overflows
+        with pytest.raises(DomainError, match="too small to periodize"):
+            kernels.lag_weights(trapezoid(), 5e-324)
 
     @pytest.mark.parametrize("spec", FLAT_TOPS, ids=IDS)
     def test_matches_periodized_kernel(self, spec, rng):
@@ -305,10 +308,13 @@ class TestKernelMoment:
         assert ours == pytest.approx(ref, abs=1e-9)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            kernel_moment(trapezoid(), -1)
-        with pytest.raises(DomainError):
-            kernel_moment(trapezoid(), 0, truncation=0.0)
+        for k in (-1, True, 2.0, np.nan):
+            with pytest.raises(DomainError, match="moment order"):
+                kernel_moment(trapezoid(), k)
+        for truncation in (0.0, np.inf, np.nan):
+            with pytest.raises(DomainError, match="truncation radius must be finite and "
+                                                  "positive"):
+                kernel_moment(trapezoid(), 0, truncation=truncation)
 
 
 class TestSerialization:

@@ -383,8 +383,10 @@ class TestImseExperiment:
          "DomainError", "need T >= 2, got 1"),
         (["--T-list", "64,16", "--kernels", "TR", "--bandwidth", "2rate"],
          "DomainError", "bandwidth must lie in (0, 1], got 1.1486983549970349"),
+        (["--T-list", "64", "--kernels", "TR", "--bandwidth", "1e-8", "--parallel", "2"],
+         "DomainError", "bandwidth 1e-08 is too small to periodize"),
     ], ids=["auto-T4", "T1-parallel", "d1", "d1-and-T1", "auto-baseline",
-            "T1-and-auto-baseline", "2rate-T16"])
+            "T1-and-auto-baseline", "2rate-T16", "past-lag-limit-parallel"])
     def test_bench_refuses_before_any_replication(self, monkeypatch, capsys, tmp_path,
                                                   argv, error, message):
         # each refusal is the one the first failing replication used to raise
@@ -420,8 +422,10 @@ class TestImseExperiment:
          DomainError, "need T >= 2, got 1"),
         (dict(T_list=(64, 16), kernel_specs=(trapezoid(),), bandwidth_mode="2rate"),
          DomainError, "bandwidth must lie in (0, 1], got 1.1486983549970349"),
+        (dict(T_list=(64,), kernel_specs=(trapezoid(),), bandwidth_mode=1e-8),
+         DomainError, "bandwidth 1e-08 is too small to periodize"),
     ], ids=["auto-T4", "T1-parallel", "d1", "d1-and-T1", "auto-baseline",
-            "T1-and-auto-baseline", "2rate-T16"])
+            "T1-and-auto-baseline", "2rate-T16", "past-lag-limit"])
     def test_config_refuses_what_a_replication_would(self, kwargs, error, message):
         # the same refusals as test_bench_refuses_before_any_replication,
         # raised by ImseConfig itself
