@@ -274,8 +274,8 @@ def _write_traces(out_dir, config: ImseConfig) -> None:
 
 _ERROR_EXITS = (
     ((ParseError,), EXIT_PARSE),
-    ((NumericError, DegenerateDataError, np.linalg.LinAlgError, FloatingPointError),
-     EXIT_NUMERIC),
+    ((NumericError, DegenerateDataError, np.linalg.LinAlgError, FloatingPointError,
+      MemoryError), EXIT_NUMERIC),
     ((DomainError, DimensionError, UnsupportedKernelError, ValueError), EXIT_CONFIG),
 )
 

@@ -81,19 +81,20 @@ def _check_lag(lag, T: int) -> int:
 
 
 def _autocovariance_stack(values: np.ndarray, n_lags: int, circular: bool) -> np.ndarray:
-    """(n_lags + 1, d, d) stack of lag products for u = 0..n_lags. Circular
-    lags repeat with period T, so only the distinct ones are computed, each
-    from a slice of one buffer that repeats the first rows after the last."""
+    """Stack of lag products for the distinct lags u = 0..min(n_lags, T - 1),
+    each circular one from a slice of one buffer that repeats the first rows
+    after the last."""
     T = values.shape[0]
     n = min(n_lags, T - 1) + 1
     lead = np.concatenate([values, values[: n - 1]]) if circular else values
-    stack = np.stack([_lag_product(values, u, lead) for u in range(n)])
-    return stack[np.arange(n_lags + 1) % T] if n_lags >= T else stack
+    return np.stack([_lag_product(values, u, lead) for u in range(n)])
 
 
 def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.ndarray:
     """(1/(2*pi)) * sum_{|u|<=L} lam_u e^(-i omega u) C_u with C_(-u) = C_u^T,
-    at every frequency at once: (n_frequencies, d, d).
+    at every frequency at once: (n_frequencies, d, d). A lag u = r + k*n past
+    the n stacked ones is row r (circular lags repeat with period T), so
+    e^(-i omega u) = e^(-i omega r) e^(-i omega k n) folds its weight onto r.
 
     Computed as A + A^H with A the one-sided sum (lag 0 at half weight), which
     makes every matrix exactly Hermitian. The lags are real, so A = R + iS
@@ -101,9 +102,10 @@ def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.
     weights with the stack, with no complex copy of the stack or of A.
     """
     n, d = stack.shape[0], stack.shape[1]
-    w = lam[:n] / TWO_PI
+    w = np.concatenate([lam, np.zeros(-lam.size % n)]) / TWO_PI
     w[0] *= 0.5
-    phase = np.exp(-1j * np.outer(np.arange(n), frequencies)) * w[:, None]
+    periods = np.exp(-1j * n * np.outer(np.arange(w.size // n), frequencies))
+    phase = np.exp(-1j * np.outer(np.arange(n), frequencies)) * (w.reshape(-1, n).T @ periods)
     # lag-major weights make the left operand a transposed one, for which
     # OpenBLAS sums each entry over the lags as the complex phase.T @ stack
     # does: the same bits for two or more frequencies and up to 20 lags

@@ -279,12 +279,14 @@ def kernel_moment(spec: FlatTopSpec, k: int, truncation: float = 200.0) -> float
     """Truncated moment int_{-X}^{X} x^k Lam(x) dx by composite Gauss-Legendre.
 
     Odd moments vanish identically on the symmetric domain and are returned
-    as exact zeros.
+    as exact zeros. X may not exceed 1000: the cost grows as X^2.
     """
     _require_flat_top(spec, "kernel moments")
     if not _is_integer(k) or k < 0:
         raise DomainError(f"moment order must be a nonnegative integer, got {k!r}")
     truncation = _check_positive("truncation radius", truncation)
+    if truncation > 1000.0:
+        raise DomainError(f"truncation radius must be at most 1000, got {truncation!r}")
     if k % 2 == 1:
         return 0.0
     nodes, weights = _gauss_legendre_panels(

@@ -70,14 +70,15 @@ def small_csv(tmp_path_factory):
 
 # The edges of the float range: signed zeros, subnormals, the smallest
 # normal, values near the largest, the infinities and nan; and floats drawn
-# at large. A valid bandwidth B costs memory in proportion to S/B lags, up
-# to the 10^7-lag limit, so the draws leave out (1e-8, 1e-4): below it
-# every B is refused, above it the largest lag stack is a few MB.
+# at large. A valid bandwidth B still costs time and memory in proportion to
+# its S/B lag weights, up to the 10^7-lag limit, so the draws leave out
+# (1e-8, 1e-6): below it every B is refused, above it a run holds at most
+# about 10^6 weights.
 FLAG_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
                      1e308, 1.7976931348623157e308, -1.7976931348623157e308,
                      math.inf, -math.inf, math.nan]),
-    st.floats(max_value=1e-8), st.floats(min_value=1e-4))
+    st.floats(max_value=1e-8), st.floats(min_value=1e-6))
 
 
 class TestSimulate:
@@ -347,6 +348,17 @@ class TestExitCodes:
         error = json.loads(res.stderr)["error"]
         assert (error["code"], error["type"]) == (1, "UnsupportedKernelError")
         assert "Epanechnikov" in error["message"]
+
+    def test_out_of_memory_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        # simulate --T 1000000000000 would get here for real
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.3 TiB")
+        monkeypatch.setattr(cli, "generate_fma1", out_of_memory)
+        code = cli.main(["simulate", "--T", "16", "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        line, = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == \
+            {"code": 3, "type": "MemoryError", "message": "Unable to allocate 7.3 TiB"}
 
     @pytest.mark.parametrize("args", [
         ["estimate", "--input", "{tmp}/in.csv", "--psd", "bogus", "--out", "{tmp}/x"],

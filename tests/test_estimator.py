@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,6 +388,34 @@ def test_lag_sum_is_the_complex_lag_sum_bit_for_bit(n, d):
     expected = complex_lag_sum(stack, lam.copy(), frequencies)
     assert got.shape == expected.shape and got.dtype == expected.dtype
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("T", [2, 3, 16])
+@pytest.mark.parametrize("periods, extra", [(1, 0), (2, 3), (10, 0)],
+                         ids=["T", "2T+3", "10T"])
+def test_lag_sum_folds_the_lags_past_the_stack(T, periods, extra):
+    # lag u of a stack of T circular lags is row u mod T: the folded sum over
+    # the T rows is the sum over the stack repeated out to every lag
+    rng = np.random.default_rng(10 * T + periods)
+    stack = rng.standard_normal((T, 4, 4))
+    lam = rng.uniform(0.0, 1.0, periods * T + extra)
+    got = estimator._lag_sum(stack, lam, DEFAULT_FREQUENCIES)
+    expected = estimator._lag_sum(stack[np.arange(lam.size) % T], lam, DEFAULT_FREQUENCIES)
+    for a, b in zip(got, expected):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_lags_past_T_cost_no_stack_memory():
+    # B = 1e-4 weighs 10^4 lags, which T = 64 circular lags hold: the
+    # estimate needs the 64 distinct 50 x 50 lags, not a stack of 10^4
+    series = generate_fma1(make_fma1_model(1, d=50), 64)
+    tracemalloc.start()
+    try:
+        estimate_smoothed(series, trapezoid(), 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("estimate, spec", [(estimate_smoothed, trapezoid()),

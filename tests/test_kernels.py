@@ -315,6 +315,9 @@ class TestKernelMoment:
             with pytest.raises(DomainError, match="truncation radius must be finite and "
                                                   "positive"):
                 kernel_moment(trapezoid(), 0, truncation=truncation)
+        with pytest.raises(DomainError, match="truncation radius must be at most 1000, "
+                                              "got 1001.0"):
+            kernel_moment(trapezoid(), 0, truncation=1001.0)
 
 
 class TestSerialization:
