@@ -18,6 +18,7 @@ from .core import (
     DegenerateDataError,
     DomainError,
     FunctionalSeries,
+    NumericError,
     center,
     _check_positive,
     _is_integer,
@@ -139,6 +140,8 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
     max_lag = min(T - 1, 4 * K_T + 8)
     while True:
         rho = _autocovariance_stack(sub, max_lag, circular=False) / denom
+        if not (np.isfinite(denom).all() and np.isfinite(rho).all()):
+            raise NumericError("the probe variances or correlations are not finite")
         ok = np.abs(rho) < threshold
         passes = sliding_window_view(ok[window_start:], K_T + 1 - window_start,
                                      axis=0).all(axis=-1)

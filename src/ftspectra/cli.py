@@ -290,7 +290,8 @@ def main(argv=None) -> int:
             "bandwidth": cmd_bandwidth,
             "bench": cmd_bench,
         }[args.command]
-        return handler(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return handler(args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         for types, code in _ERROR_EXITS:
             if isinstance(exc, types):

@@ -23,6 +23,7 @@ from .core import (
 from .kernels import (
     FlatTopSpec,
     UnsupportedKernelError,
+    _lag_phases,
     baseline_weight,
     check_bandwidth,
     lag_weights,
@@ -102,10 +103,7 @@ def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.
     weights with the stack, with no complex copy of the stack or of A.
     """
     n, d = stack.shape[0], stack.shape[1]
-    w = np.concatenate([lam, np.zeros(-lam.size % n)]) / TWO_PI
-    w[0] *= 0.5
-    periods = np.exp(-1j * n * np.outer(np.arange(w.size // n), frequencies))
-    phase = np.exp(-1j * np.outer(np.arange(n), frequencies)) * (w.reshape(-1, n).T @ periods)
+    phase = _lag_phases(lam, n, frequencies)
     # lag-major weights make the left operand a transposed one, for which
     # OpenBLAS sums each entry over the lags as the complex phase.T @ stack
     # does: the same bits for two or more frequencies and up to 20 lags

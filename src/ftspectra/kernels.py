@@ -5,8 +5,8 @@ A flat-top taper lam(s) equals 1 on [-c, c], decays to 0 outside, and is even.
 Its inverse Fourier transform Lam(x) = (1/pi) * int_0^S lam(s) cos(s x) ds is
 a high-order (for the smooth family, infinite-order) smoothing kernel. The
 frequency-domain weight applied to periodogram ordinates is the periodization
-W(x) = (1/(2*pi)) * sum_u lam(B*u) exp(-i x u), a finite cosine series because
-lam has compact support.
+W(x) = (1/(2*pi)) * sum_u lam(B*u) exp(-i x u), a finite sum (lam has compact
+support) that the estimators' lag fold _lag_phases adds up, not a cosine table.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DomainError, ParseError, _check_positive, _is_integer
+from .core import TWO_PI, DomainError, ParseError, _check_positive, _is_integer
 
 __all__ = [
     "KernelFamily",
@@ -62,6 +62,7 @@ _DEFAULT_B = 0.25
 
 #: Tolerance defining the effective flat-top region: lam(s) >= 1 - EPSILON_EF.
 EPSILON_EF = 0.01
+_PERIOD_BLOCK = 4096  # most periods k of n lags _lag_phases sums at once
 
 
 @dataclass(frozen=True)
@@ -236,15 +237,22 @@ def lag_weights(spec: FlatTopSpec, bandwidth: float) -> np.ndarray:
     return lambda_eval(spec, bandwidth * np.arange(_lag_count(spec, bandwidth) + 1))
 
 
+def _lag_phases(lam: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
+    """(n, len(x)) weights p_r(x) = sum_{u = r mod n} w_u e^{-ixu}, w = lam/(2*pi), w_0 halved."""
+    w = (np.concatenate([lam[:1] / 2, lam[1:], np.zeros(-lam.size % n)]) / TWO_PI).reshape(-1, n)
+    k = np.arange(len(w))
+    for i in range(0, len(w), _PERIOD_BLOCK):
+        term = w[i:i + _PERIOD_BLOCK].T @ np.exp(-1j * n * np.outer(k[i:i + _PERIOD_BLOCK], x))
+        acc = acc + term if i else term
+    return np.exp(-1j * np.outer(np.arange(n), x)) * acc
+
+
 def weight_function(spec: FlatTopSpec, bandwidth: float, x):
     """Periodized flat-top weight W(x) = (1/(2*pi)) * sum_u lam(B u) e^{-ixu},
-    evaluated through its finite cosine-series form. 2*pi-periodic and even."""
-    lam = lag_weights(spec, bandwidth)
+    twice the real part of the lag fold at n = 1. 2*pi-periodic and even."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.arange(1, lam.size)
-    out = (1.0 + 2.0 * (np.cos(np.multiply.outer(x, u)) @ lam[1:])) / (2.0 * np.pi)
-    return float(out[0]) if scalar else out
+    out = 2.0 * _lag_phases(lag_weights(spec, bandwidth), 1, np.ravel(x))[0].real
+    return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
 def baseline_weight(bandwidth: float, x):

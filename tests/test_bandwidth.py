@@ -12,6 +12,7 @@ from ftspectra import (
     DomainError,
     FunctionalSeries,
     Grid,
+    NumericError,
     UnsupportedKernelError,
     center,
     correlogram,
@@ -202,6 +203,19 @@ class TestSelectBandwidth:
     def test_needs_minimum_length(self):
         s = FunctionalSeries(Grid(10), np.random.default_rng(0).standard_normal((4, 10)))
         with pytest.raises(DomainError):
+            select_bandwidth(s, trapezoid())
+
+    @pytest.mark.parametrize("scale", [1e200, 1e100])
+    def test_overflowing_autocovariances_are_numeric_error(self, scale):
+        # every value is finite, but at 1e200 the lag products overflow to inf
+        # and the correlations read NaN, which every comparison used to call
+        # significant: the rule returned its largest shift. At 1e100 only the
+        # product of two variances overflows, and every correlation read 0:
+        # B = 1. Overflow is left silent here, so the rule's own check is
+        # what refuses the input
+        values = np.random.default_rng(5).standard_normal((64, 4)) * scale
+        s = FunctionalSeries(Grid(4), values)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             select_bandwidth(s, trapezoid())
 
     def test_baseline_refused_before_the_search(self, fma_series, monkeypatch):

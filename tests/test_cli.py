@@ -15,6 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftspectra import (
+    FunctionalSeries,
+    Grid,
     clip_estimate,
     estimate_from_json_dict,
     estimate_lagwindow,
@@ -65,6 +67,15 @@ def data_csv(tmp_path_factory):
 def small_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "small.csv"
     series_to_csv(generate_fma1(make_fma1_model(7, d=4), 64), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def overflowing_csv(tmp_path_factory):
+    # every value is finite, but a lag product of two is about 1e400
+    path = tmp_path_factory.mktemp("cli") / "overflowing.csv"
+    values = np.random.default_rng(5).standard_normal((64, 4)) * 1e200
+    series_to_csv(FunctionalSeries(Grid(4), values), path)
     return path
 
 
@@ -396,6 +407,23 @@ class TestExitCodes:
         bad.write_text("tau_0,tau_1\nnan,1.0\n0.2,0.3\n")
         res = run_cli("estimate", "--input", str(bad), "--out", str(tmp_path / "x"))
         assert res.returncode == 3
+
+    @pytest.mark.parametrize("args", [
+        ["bandwidth", "--input", "{huge}"],
+        ["estimate", "--input", "{huge}", "--kernel", "TR"],
+        ["estimate", "--input", "{huge}", "--kernel", "EPA"],
+        ["estimate", "--input", "{huge}", "--bandwidth", "auto"],
+        ["estimate", "--input", "{data}", "--psd", "definite", "--eps", "1e308"],
+    ], ids=["bandwidth", "estimate-TR", "estimate-EPA", "estimate-auto", "estimate-eps"])
+    def test_overflow_is_one_numeric_error_line(self, tmp_path, data_csv, overflowing_csv,
+                                                args):
+        # an overflow once let bandwidth exit 0 on NaN correlations, and put
+        # numpy's warnings on stderr ahead of the JSON error line
+        res = run_cli(*(a.format(huge=overflowing_csv, data=data_csv) for a in args),
+                      "--out", str(tmp_path / "x"))
+        assert res.returncode == 3
+        line, = res.stderr.splitlines()
+        assert json.loads(line)["error"]["code"] == 3
 
     def test_success_is_zero(self, data_csv, tmp_path):
         res = run_cli("bandwidth", "--input", str(data_csv),

@@ -405,6 +405,37 @@ def test_lag_sum_folds_the_lags_past_the_stack(T, periods, extra):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
+@pytest.mark.parametrize("T", [2, 3])
+def test_lag_sum_over_many_period_blocks_matches_exact_phases(T):
+    # 5000 periods of T lags take two blocks of the fold; on the paper grid
+    # omega_j = pi*j/10 the reference phase e^(-i pi j u/10) is taken at the
+    # exactly reduced u mod 20, so it carries no rounding of omega_j * u
+    rng = np.random.default_rng(T)
+    stack = rng.standard_normal((T, 4, 4))
+    lam = rng.uniform(0.0, 1.0, 5000 * T + 1)
+    u = np.arange(lam.size)
+    w = lam / (2 * np.pi)
+    w[0] *= 0.5
+    phase = np.exp(-1j * np.pi * np.outer(np.arange(10), u % 20) / 10) * w
+    a = (phase @ stack[u % T].reshape(-1, 16)).reshape(-1, 4, 4)
+    expected = a + a.conj().transpose(0, 2, 1)
+    got = estimator._lag_sum(stack, lam, DEFAULT_FREQUENCIES)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_lags_past_T_cost_no_period_table_memory():
+    # B = 1e-6 weighs 10^6 lags onto T = 2 circular lags: their phases are
+    # made a block of periods at a time, not as one table of 5 * 10^5 periods
+    series = generate_fma1(make_fma1_model(1, d=2), 2)
+    tracemalloc.start()
+    try:
+        estimate_smoothed(series, trapezoid(), 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def test_lags_past_T_cost_no_stack_memory():
     # B = 1e-4 weighs 10^4 lags, which T = 64 circular lags hold: the
     # estimate needs the 64 distinct 50 x 50 lags, not a stack of 10^4

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,35 @@ class TestWeightFunction:
         args = (x[:, None] + 2 * np.pi * j[None, :]) / B
         periodized = capital_lambda_batch(spec, args).sum(axis=1) / B
         assert np.max(np.abs(direct - periodized)) < 1e-3
+
+
+    @pytest.mark.parametrize("spec", FLAT_TOPS, ids=IDS)
+    @pytest.mark.parametrize("B", [0.5, 1e-3, 1e-5])
+    def test_matches_the_cosine_series(self, spec, B):
+        x = np.linspace(-7.0, 7.0, 1001)
+        expected = cosine_series_weight(spec, B, x)
+        got = weight_function(spec, B, x)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_small_bandwidth_costs_no_cosine_table_memory(self):
+        # 10^5 lags at 100 points: a table over every lag would take 80 MB
+        tracemalloc.start()
+        try:
+            weight_function(trapezoid(), 1e-5, np.linspace(0.0, 3.0, 100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+
+def cosine_series_weight(spec, bandwidth, x):
+    """W(x) = (1 + 2 * sum_{u>=1} lam(B u) cos(x u)) / (2 pi), the cosine
+    series summed directly over every lag, a few points at a time: the
+    oracle for the folded form."""
+    lam = kernels.lag_weights(spec, bandwidth)
+    u = np.arange(1, lam.size)
+    return np.concatenate([(1.0 + 2.0 * (np.cos(np.multiply.outer(part, u)) @ lam[1:]))
+                           / (2.0 * np.pi) for part in np.array_split(x, 50)])
 
 
 def three_image_baseline_weight(bandwidth, x):
