@@ -19,7 +19,6 @@ from .core import (
     DomainError,
     FunctionalSeries,
     NumericError,
-    center,
     _check_positive,
     _is_integer,
     _readonly,
@@ -85,7 +84,9 @@ def correlogram(series: FunctionalSeries, lag: int, tau_idx: int, sigma_idx: int
         if not _is_integer(idx) or not 0 <= idx < series.d:
             raise DomainError(f"grid index must be an integer in 0..{series.d - 1}, "
                               f"got {idx!r}")
-    xy = center(series).values[:, [tau_idx, sigma_idx]]
+    # center()'s mean, subtracted from the two probed columns alone
+    probed = [tau_idx, sigma_idx]
+    xy = series.values[:, probed] - series.values.mean(axis=0)[probed]
     var = np.diagonal(_lag_product(xy, 0))
     if np.any(var <= 0.0):
         raise DegenerateDataError("zero variance at a probed grid point")
@@ -125,21 +126,22 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
         raise DomainError(f"aggregation must be 'max' or 'mean', got {aggregation!r}")
     K_T = max(5, math.ceil(math.sqrt(math.log10(T))))
 
-    values = center(series).values
-    sub = values[:, gamma_grid_indices(values.shape[1])]     # T x 10
-    r0 = np.diagonal(_lag_product(sub, 0))
-    if np.any(r0 <= 0.0):
-        raise DegenerateDataError("zero variance at a probed grid point")
-    denom = np.sqrt(np.outer(r0, r0))
+    # the raw T x 10 probe columns: the linear lag stack centers them
+    sub = series.values[:, gamma_grid_indices(series.d)]
     threshold = C0 * math.sqrt(math.log10(T) / T)
 
     # ok[m] flags the pairs with |rhohat_m| below the threshold; shift q passes
     # when ok holds on every lag of its window, m = q + window_start .. q + K_T.
     # The lag range doubles until every pair has a passing shift or T - 1 is
-    # reached.
+    # reached; the variances are the first stack's lag 0.
     max_lag = min(T - 1, 4 * K_T + 8)
+    stack = _autocovariance_stack(sub, max_lag, circular=False)
+    r0 = np.diagonal(stack[0])
+    if np.any(r0 <= 0.0):
+        raise DegenerateDataError("zero variance at a probed grid point")
+    denom = np.sqrt(np.outer(r0, r0))
     while True:
-        rho = _autocovariance_stack(sub, max_lag, circular=False) / denom
+        rho = stack / denom
         if not (np.isfinite(denom).all() and np.isfinite(rho).all()):
             raise NumericError("the probe variances or correlations are not finite")
         ok = np.abs(rho) < threshold
@@ -149,6 +151,7 @@ def select_bandwidth(series: FunctionalSeries, spec: FlatTopSpec,
         if found.all() or max_lag >= T - 1:
             break
         max_lag = min(T - 1, 2 * max_lag)
+        stack = _autocovariance_stack(sub, max_lag, circular=False)
 
     q_grid = np.where(found, passes.argmax(axis=0), T - K_T - 1)
     q_hat = (int(q_grid.max()) if aggregation == "max"

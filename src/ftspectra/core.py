@@ -117,8 +117,13 @@ class FunctionalSeries:
 
 
 def center(series: FunctionalSeries) -> FunctionalSeries:
-    """Subtract the sample mean curve. Every function that needs centered
-    data calls this on its own input, so callers pass the raw series."""
+    """Subtract the sample mean curve, in a new T x d array. Every function
+    that needs centered data centers its own input, so callers pass the raw
+    series: the fDFT, `autocovariance` and the smoothed periodogram call
+    this. The lag window's linear lag stack subtracts the mean a block of
+    rows at a time, `select_bandwidth` hands that stack its raw probe
+    columns, and `correlogram` subtracts this mean from its two columns
+    alone, so none of them makes a centered copy of the series."""
     return FunctionalSeries(series.grid, series.values - series.values.mean(axis=0))
 
 

@@ -81,14 +81,41 @@ def _check_lag(lag, T: int) -> int:
     return lag
 
 
+#: Rows t of the raw series the linear lag stack centers and sums at a time,
+#: besides the lead rows t + u of its largest lag.
+_ROWS = 4096
+
+
 def _autocovariance_stack(values: np.ndarray, n_lags: int, circular: bool) -> np.ndarray:
-    """Stack of lag products for the distinct lags u = 0..min(n_lags, T - 1),
-    each circular one from a slice of one buffer that repeats the first rows
-    after the last."""
+    """Stack of lag products for the distinct lags u = 0..min(n_lags, T - 1).
+
+    Circular lags take the centered values; each comes from a slice of one
+    buffer that repeats the first rows after the last. Linear lags take the
+    raw values and center them _ROWS rows at a time, with the lead rows of
+    the largest lag, in one reused buffer, adding up each block's products:
+    no centered copy of the series is made. Up to _ROWS rows that is one
+    block, and each lag is _lag_product of the centered values bit for bit;
+    past it the blocks' sums move the last bits."""
     T = values.shape[0]
     n = min(n_lags, T - 1) + 1
-    lead = np.concatenate([values, values[: n - 1]]) if circular else values
-    return np.stack([_lag_product(values, u, lead) for u in range(n)])
+    if circular:
+        lead = np.concatenate([values, values[: n - 1]])
+        return np.stack([_lag_product(values, u, lead) for u in range(n)])
+    mean = values.mean(axis=0)
+    buffer = np.empty((min(T, _ROWS + n - 1), values.shape[1]))
+    stack = np.empty((n, values.shape[1], values.shape[1]))
+    for start in range(0, T, _ROWS):
+        stop = min(start + _ROWS, T)
+        block = np.subtract(values[start: stop + n - 1], mean,
+                            out=buffer[: min(stop + n - 1, T) - start])
+        for u, lag in enumerate(stack[: T - start]):
+            rows = min(stop, T - u) - start     # t = start..start+rows-1
+            if start == 0:
+                np.matmul(block[u: u + rows].T, block[:rows], out=lag)
+            else:
+                lag += block[u: u + rows].T @ block[:rows]
+    stack /= T
+    return stack
 
 
 def _lag_sum(stack: np.ndarray, lam: np.ndarray, frequencies: np.ndarray) -> np.ndarray:
@@ -152,12 +179,14 @@ def _baseline_block(H, T, bandwidth, frequencies) -> np.ndarray:
 
 
 def _estimate_specs(values, specs, bandwidths, frequencies, method):
-    """An iterator over the SpectralEstimates of the centered T x d values
-    by the method, estimate_smoothed's or estimate_lagwindow's, for each
-    spec at its bandwidth, on the checked frequencies. The specs share the
-    work, done here: the flat-top ones contract one lag stack, circular for
-    the smoothed periodogram and linear for the lag window, built at their
-    largest lag count; the baselines one half-spectrum fDFT. Every bandwidth
+    """An iterator over the SpectralEstimates of the T x d values by the
+    method, estimate_smoothed's or estimate_lagwindow's, for each spec at
+    its bandwidth, on the checked frequencies: centered values for the
+    smoothed periodogram, raw ones for the lag window, whose linear lag
+    stack centers them. The specs share the work, done here: the flat-top
+    ones contract one lag stack, circular for the smoothed periodogram and
+    linear for the lag window, built at their largest lag count; the
+    baselines one half-spectrum fDFT. Every bandwidth
     is checked, and the lag window refuses a baseline, before any of it. Lag
     u of a stack is the same lag product however many lags the stack holds,
     so each estimate is the one-spec estimate bit for bit. The iterator
@@ -182,8 +211,10 @@ def _estimate_specs(values, specs, bandwidths, frequencies, method):
 
 def _estimate(series, spec, bandwidth, frequencies, method) -> SpectralEstimate:
     frequencies = _frequencies(frequencies)
-    estimate, = _estimate_specs(center(series).values, (spec,), (bandwidth,), frequencies,
-                                method)
+    # the lag window's only work is the linear lag stack, which centers its
+    # own input
+    values = series.values if method == METHOD_LAG_WINDOW else center(series).values
+    estimate, = _estimate_specs(values, (spec,), (bandwidth,), frequencies, method)
     return estimate
 
 

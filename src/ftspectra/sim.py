@@ -76,6 +76,12 @@ ETA = _readonly(1.0 / ((np.arange(1, N_INNOV + 1) - 0.5) ** 2 * np.pi**2))
 #: kernel, with other bits than the same rows of a whole-series product.
 _BLOCK_ROWS = 256
 
+#: Curves of a generate_fma1 grid block, at the least, a multiple of
+#: _BLOCK_ROWS; the last block takes the remainder. Blocks of 256 rows give
+#: other bits than the whole coefficients-to-grid product at d = 2; blocks of
+#: 1024 or more give its bits at every d <= 192 and every multiple of 8.
+_GRID_ROWS = 1024
+
 
 def basis_matrix(grid: Grid) -> np.ndarray:
     """d x N_BASIS matrix of the orthonormal sine system
@@ -136,34 +142,48 @@ def generate_fma1(model: Fma1Model, T: int,
     the model seed.
 
     The innovations are drawn in blocks of 256 curves or more, each block's
-    last row carried into the next, and mapped to their T x N_BASIS
-    coefficients block by block: the same random stream and the same bits as
-    drawing all T + 1 rows at once, with no (T + 1) x N_INNOV matrix. The
-    coefficients go to the grid in one product, since a row block of that
-    d-column product can differ in its last bits from the whole (measured
-    at d > 192 not a multiple of 8).
+    last row carried into the next, and mapped to their N_BASIS
+    coefficients block by block; the coefficients go to the grid in row
+    blocks of 1024 curves or more, written straight into the series, so
+    neither a (T + 1) x N_INNOV nor a T x N_BASIS matrix is held. The
+    random stream is the one of drawing all T + 1 rows at once, and so are
+    the bits at every d <= 192 and every d a multiple of 8; at a larger odd
+    d the grid rows can differ in their last bits from one whole product.
     """
     _check_length(T)
     if rng is None:
         if model.seed is None:
             raise DomainError("model has no seed; pass an explicit generator")
         rng = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(2)[1])
-    edges = [*range(0, max(T // _BLOCK_ROWS, 1) * _BLOCK_ROWS, _BLOCK_ROWS), T]
-    n = T - edges[-2]   # the last block is the largest
+    edges, grid_edges = _block_edges(T, _BLOCK_ROWS), _block_edges(T, _GRID_ROWS)
+    n = T - edges[-2]   # the last innovation block is the largest, and so
     eps, lagged = np.empty((n + 1, N_INNOV)), np.empty((n, N_BASIS))
-    coef = np.empty((T, N_BASIS))
+    coef = np.empty((T - grid_edges[-2], N_BASIS))   # is the last grid block
+    psi_t = basis_matrix(model.grid).T
+    values = np.empty((T, model.grid.d))
     sd = np.sqrt(ETA)
     rng.standard_normal(out=eps[0])
     eps[0] *= sd
+    first = 0   # the first curve of the grid block coef holds
     for start, stop in zip(edges, edges[1:]):
         block, n = eps[: stop - start + 1], stop - start   # eps_(start-1)..eps_(stop-1)
         rng.standard_normal(out=block[1:])
         block[1:] *= sd
-        np.matmul(block[1:], model.a0.T, out=coef[start:stop])
+        rows = coef[start - first: stop - first]
+        np.matmul(block[1:], model.a0.T, out=rows)
         np.matmul(block[:-1], model.a1.T, out=lagged[:n])
-        coef[start:stop] += lagged[:n]
+        rows += lagged[:n]
         eps[0] = block[-1]
-    return FunctionalSeries(model.grid, coef @ basis_matrix(model.grid).T)
+        if stop in grid_edges:
+            np.matmul(coef[: stop - first], psi_t, out=values[first:stop])
+            first = stop
+    return FunctionalSeries(model.grid, values)
+
+
+def _block_edges(T: int, rows: int) -> list:
+    """Edges of the blocks of `rows` curves that cover 0..T-1, the remainder
+    joined to the last block."""
+    return [*range(0, max(T // rows, 1) * rows, rows), T]
 
 
 def _check_seed(seed) -> None:
@@ -359,17 +379,32 @@ def _estimates(specs, mode, series: FunctionalSeries, frequencies=None):
 def _run_replication(config: ImseConfig, task) -> list:
     """One (T, replication) cell: simulate from the task's generator stream,
     estimate with every kernel spec of the config, and return the IMSE of
-    each against the replication's own truth, in spec order. The series is
-    let go once the estimates' shared work is done, and each estimate once
-    it is scored, so one estimate is alive at a time."""
-    T, seed_ss, operators = task
+    each against the replication's truth, in spec order: its own model's,
+    or with the task's fixed-operator stream the experiment's shared one.
+    The series is let go once the estimates' shared work is done, and each
+    estimate once it is scored, so one estimate is alive at a time."""
+    T, seed_ss, operators_ss = task
     rng = np.random.default_rng(seed_ss)
-    a0, a1 = _draw_operators(rng) if operators is None else operators
-    model = Fma1Model(a0, a1, Grid(config.d))
+    if operators_ss is None:
+        model = Fma1Model(*_draw_operators(rng), Grid(config.d))
+        truth = true_spectrum(model)
+    else:
+        model, truth = _fixed_model(operators_ss.entropy, operators_ss.spawn_key, config.d)
     estimates = _estimates(config.kernel_specs, config.bandwidth_mode,
                            generate_fma1(model, T, rng=rng))
-    score = functools.partial(imse_from_estimate, truth=true_spectrum(model))
+    score = functools.partial(imse_from_estimate, truth=truth)
     return list(map(score, estimates))
+
+
+@functools.lru_cache(maxsize=1)
+def _fixed_model(entropy, spawn_key: tuple, d: int):
+    """The model whose operators are drawn from the seed sequence
+    (entropy, spawn_key), on Grid(d), and its truth: made once per process
+    for the replications of an experiment under fixed operators. Both are
+    immutable, so the replications share them."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key))
+    model = Fma1Model(*_draw_operators(rng), Grid(d))
+    return model, true_spectrum(model)
 
 
 def imse_experiment(config: ImseConfig) -> list:
@@ -384,10 +419,10 @@ def imse_experiment(config: ImseConfig) -> list:
     ss = np.random.SeedSequence(config.seed)
     n_tasks = len(config.T_list) * config.n_runs
     children = ss.spawn(n_tasks + 1)
-    operators = None
-    if not config.redraw_operators:
-        operators = _draw_operators(np.random.default_rng(children[n_tasks]))
-    tasks = [(T, children[ti * config.n_runs + r], operators)
+    # under fixed operators a task carries the seed sequence they are drawn
+    # from, and each process makes their model and truth once
+    operators_ss = None if config.redraw_operators else children[n_tasks]
+    tasks = [(T, children[ti * config.n_runs + r], operators_ss)
              for ti, T in enumerate(config.T_list) for r in range(config.n_runs)]
 
     run = functools.partial(_run_replication, config)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,23 @@ class TestSelectBandwidth:
         for C0 in (0.0, np.nan, np.inf):
             with pytest.raises(DomainError):
                 select_bandwidth(fma_series, trapezoid(), C0=C0)
+
+
+@pytest.mark.parametrize("probe", [lambda s: select_bandwidth(s, trapezoid()),
+                                   lambda s: correlogram(s, 3, 1, 40)],
+                         ids=["select_bandwidth", "correlogram"])
+def test_probes_hold_no_centered_copy(probe):
+    # the probe search centers its T x 10 probe columns, and the correlogram
+    # its two, not the T x d series
+    series = generate_fma1(make_fma1_model(3, d=50), 16384)
+    probe(series)
+    tracemalloc.start()
+    try:
+        probe(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * series.values.nbytes
 
 
 class TestRuleMonotonicity:

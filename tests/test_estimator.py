@@ -345,16 +345,19 @@ class TestLagWindowEstimator:
             estimate_lagwindow(fma_series, epanechnikov(), 0.3)
 
     @pytest.mark.parametrize("spec", FLAT_TOPS, ids=IDS)
-    @pytest.mark.parametrize("T, B", [(512, 512 ** (-0.2)), (16, 0.05), (64, 1.0)],
-                             ids=["rate", "L-beyond-T", "B-one"])
+    @pytest.mark.parametrize("T, B", [(512, 512 ** (-0.2)), (16, 0.05), (64, 1.0),
+                                      (5000, 5000 ** (-0.2))],
+                             ids=["rate", "L-beyond-T", "B-one", "two-row-blocks"])
     def test_matches_the_direct_lag_sum(self, spec, T, B):
         # (1/(2 pi)) sum_{|u|<T} lam(B u) rhat_u e^{-i omega u}, term by term;
-        # at B = 0.05 and T = 16 the support runs past the last lag T - 1.
-        # Scaled by the largest entry over all frequencies: a centered series
-        # has a vanishing omega = 0 term.
+        # at B = 0.05 and T = 16 the support runs past the last lag T - 1,
+        # and T = 5000 sums the lag stack over two blocks of rows; a lag
+        # with a zero weight adds nothing, so it is left out. Scaled by the
+        # largest entry over all frequencies: a centered series has a
+        # vanishing omega = 0 term.
         s = generate_fma1(make_fma1_model(7, d=6), T)
         est = estimate_lagwindow(s, spec, B)
-        lags = np.arange(-(T - 1), T)
+        lags = [u for u in range(-(T - 1), T) if lambda_eval(spec, B * u) != 0.0]
         terms = [lambda_eval(spec, B * u) * autocovariance(s, u) for u in lags]
         direct = np.array([sum(np.exp(-1j * w * u) * c for u, c in zip(lags, terms))
                            for w in est.frequencies]) / (2 * np.pi)
@@ -447,6 +450,19 @@ def test_lags_past_T_cost_no_stack_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_lag_window_holds_no_centered_copy():
+    # the linear lag stack centers the raw series a block of rows at a time
+    series = generate_fma1(make_fma1_model(1, d=50), 16384)
+    estimate_lagwindow(series, trapezoid(), 0.1)
+    tracemalloc.start()
+    try:
+        estimate_lagwindow(series, trapezoid(), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * series.values.nbytes
 
 
 @pytest.mark.parametrize("estimate, spec", [(estimate_smoothed, trapezoid()),

@@ -158,11 +158,13 @@ def whole_matrix_fma1(model, T, rng):
 
 class TestStreamedGenerator:
     @pytest.mark.parametrize("T", [2, 3, 24, 25, 255, 256, 257, 511, 512, 513, 1000, 2048,
-                                   2049, 4099])
+                                   2049, 3071, 4099, 5000])
     @pytest.mark.parametrize("d", [2, 12, 50, 100])
     def test_same_bits_as_the_whole_matrix_draw(self, T, d):
         # a block of a few rows would give other bits under OpenBLAS, so the
-        # remainder joins the last block (257 = one block, 4099 = 15 x 256 + 259)
+        # remainder joins the last block (257 = one block, 4099 = 15 x 256 + 259);
+        # the grid blocks of 1024 rows do the same (3071 = 1024 + 2047,
+        # 5000 = 3 x 1024 + 1928)
         model = make_fma1_model(1000 * d + T, d=d)
         seeded = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(2)[1])
         cases = [(generate_fma1(model, T), seeded),
@@ -184,6 +186,20 @@ class TestStreamedGenerator:
             tracemalloc.stop()
         # less than the (T + 1) x N_INNOV innovation matrix alone
         assert peak < (T + 1) * sim.N_INNOV * 8
+
+    def test_holds_no_second_series(self):
+        # the coefficients go to the grid a block of rows at a time: the
+        # series and O(block) rows, no T x N_BASIS coefficient matrix
+        model = make_fma1_model(5, d=50)
+        T = 16384
+        generate_fma1(model, T)
+        tracemalloc.start()
+        try:
+            series = generate_fma1(model, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * series.values.nbytes
 
 
 class TestTrueSpectrum:
@@ -291,6 +307,25 @@ class TestImseExperiment:
                          redraw_operators=False, kernel_specs=(trapezoid(),))
         rows = imse_experiment(cfg)
         assert rows[0].n_runs == 3  # smoke: runs complete with a shared draw
+
+    def test_fixed_operators_make_one_truth(self, monkeypatch):
+        # one model and one truth serve every replication; each scores as if
+        # it had built them from the shared operators itself
+        cfg = ImseConfig(T_list=(64, 128), n_runs=3, d=12, seed=4,
+                         redraw_operators=False, kernel_specs=(trapezoid(),))
+        sim._fixed_model.cache_clear()
+        truths = counting(monkeypatch, sim, "true_spectrum")
+        rows = imse_experiment(cfg)
+        assert len(truths) == 1
+        children = np.random.SeedSequence(4).spawn(7)
+        model = Fma1Model(*sim._draw_operators(np.random.default_rng(children[6])), Grid(12))
+        truth = true_spectrum(model)
+        for i, (T, row) in enumerate(zip(cfg.T_list, rows)):
+            imses = [imse_from_estimate(estimate_smoothed(
+                        generate_fma1(model, T, rng=np.random.default_rng(ch)),
+                        trapezoid(), T ** -0.2), truth)
+                     for ch in children[3 * i: 3 * i + 3]]
+            assert row.mean_imse == np.mean(imses)
 
     def test_explicit_bandwidth_checked_at_construction(self):
         with pytest.raises(DomainError):
