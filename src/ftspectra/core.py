@@ -63,6 +63,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+#: Rows of a matrix whose finiteness is tested at a time.
+_FINITE_ROWS = 1024
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every entry of the 2-D float array is finite, tested
+    _FINITE_ROWS rows at a time, so no T x d boolean array is made."""
+    return all(np.isfinite(values[start: start + _FINITE_ROWS]).all()
+               for start in range(0, values.shape[0], _FINITE_ROWS))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform midpoint grid tau_i = (i + 1/2) / d on [0, 1], weight 1/d per point.
@@ -103,7 +114,7 @@ class FunctionalSeries:
             raise DimensionError(
                 f"values have {v.shape[1]} columns but the grid has d = {self.grid.d}"
             )
-        if not np.all(np.isfinite(v)):
+        if not _all_finite(v):
             raise NumericError("series values contain non-finite entries")
         object.__setattr__(self, "values", _readonly(v))
 
@@ -119,11 +130,11 @@ class FunctionalSeries:
 def center(series: FunctionalSeries) -> FunctionalSeries:
     """Subtract the sample mean curve, in a new T x d array. Every function
     that needs centered data centers its own input, so callers pass the raw
-    series: the fDFT, `autocovariance` and the smoothed periodogram call
-    this. The lag window's linear lag stack subtracts the mean a block of
-    rows at a time, `select_bandwidth` hands that stack its raw probe
-    columns, and `correlogram` subtracts this mean from its two columns
-    alone, so none of them makes a centered copy of the series."""
+    series: `fdft_all` and `autocovariance` call this. Both estimators' lag
+    stacks subtract the mean a block of rows at a time, `select_bandwidth`
+    hands the linear stack its raw probe columns, and `correlogram`
+    subtracts this mean from its two columns alone, so none of them makes a
+    centered copy of the series."""
     return FunctionalSeries(series.grid, series.values - series.values.mean(axis=0))
 
 
@@ -201,9 +212,11 @@ def hermitian_residual(m: np.ndarray):
     return float(residual) if residual.ndim == 0 else residual
 
 
-def _hermitian_sum(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """A + A^H, A = re + i*im a (..., d, d) stack, as re + re^T + i(im - im^T)."""
-    block = np.empty(re.shape, dtype=complex)
+def _hermitian_sum(re: np.ndarray, im: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """A + A^H, A = re + i*im a (..., d, d) stack, as re + re^T + i(im - im^T),
+    into out when given."""
+    block = np.empty(re.shape, dtype=complex) if out is None else out
     np.add(re, re.swapaxes(-1, -2), out=block.real)
     np.subtract(im, im.swapaxes(-1, -2), out=block.imag)
     return block
@@ -415,7 +428,7 @@ def read_csv(path, header: bool):
                     warnings.simplefilter("ignore", UserWarning)
                     values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
                 if (values.size and width in (None, values.shape[1])
-                        and np.all(np.isfinite(values))):
+                        and _all_finite(values)):
                     return head, values
             except ValueError:
                 pass

@@ -53,14 +53,11 @@ def _fdft(values: np.ndarray) -> np.ndarray:
     return H
 
 
-def _lag_product(values: np.ndarray, u: int, lead: np.ndarray | None = None) -> np.ndarray:
-    """(1/T) * sum_t lead_{t+u} X_t^T for a lag 0 <= u (divisor T), over the
-    t < T for which lead has a row t + u. By default lead is the values: the
-    linear, biased sample autocovariance (t < T - u). The values followed by
-    their first u rows again give the circular one (t + u taken mod T)."""
+def _lag_product(values: np.ndarray, u: int) -> np.ndarray:
+    """(1/T) * sum_{t<T-u} X_{t+u} X_t^T for a lag 0 <= u < T: the linear,
+    biased (divisor T) sample autocovariance of the centered values."""
     T = values.shape[0]
-    lead = (values if lead is None else lead)[u:u + T]
-    return (lead.T @ values[: lead.shape[0]]) / T
+    return (values[u:].T @ values[: T - u]) / T
 
 
 def autocovariance(series: FunctionalSeries, lag: int) -> np.ndarray:
@@ -81,35 +78,50 @@ def _check_lag(lag, T: int) -> int:
     return lag
 
 
-#: Rows t of the raw series the linear lag stack centers and sums at a time,
+#: Rows t of the raw series the lag stack centers and sums at a time,
 #: besides the lead rows t + u of its largest lag.
 _ROWS = 4096
 
 
-def _autocovariance_stack(values: np.ndarray, n_lags: int, circular: bool) -> np.ndarray:
-    """Stack of lag products for the distinct lags u = 0..min(n_lags, T - 1).
+def _centered_rows(values: np.ndarray, mean: np.ndarray, start: int,
+                   out: np.ndarray) -> np.ndarray:
+    """out, filled with the rows start, start + 1, ... of the T x d values
+    minus the mean, the row indices taken mod T: a circular stack's last
+    rows are followed by its first ones again."""
+    own = min(out.shape[0], values.shape[0] - start)
+    np.subtract(values[start: start + own], mean, out=out[:own])
+    np.subtract(values[: out.shape[0] - own], mean, out=out[own:])
+    return out
 
-    Circular lags take the centered values; each comes from a slice of one
-    buffer that repeats the first rows after the last. Linear lags take the
-    raw values and center them _ROWS rows at a time, with the lead rows of
-    the largest lag, in one reused buffer, adding up each block's products:
-    no centered copy of the series is made. Up to _ROWS rows that is one
-    block, and each lag is _lag_product of the centered values bit for bit;
-    past it the blocks' sums move the last bits."""
-    T = values.shape[0]
+
+def _autocovariance_stack(values: np.ndarray, n_lags: int, circular: bool,
+                          centered: np.ndarray | None = None) -> np.ndarray:
+    """Stack of lag products (1/T) * sum_t X_{t+u} X_t^T of the centered
+    series for the distinct lags u = 0..min(n_lags, T - 1), n of them:
+    circular (t + u taken mod T) or linear (t < T - u).
+
+    The lags read the centered rows, followed for circular lags by the first
+    n - 1 of them again. The stack takes the raw values and centers _ROWS
+    rows at a time, with the lead rows of the largest lag, in one reused
+    buffer, so no centered copy of the series is made; or it is handed all
+    those rows already centered, as centered, and reads the same blocks of
+    them. Each lag adds up one product per block; lag 0 is each block's
+    product with itself, exactly symmetric. Up to _ROWS rows that is one
+    product per lag; past it the blocks' sums move the last bits."""
+    T, d = values.shape
     n = min(n_lags, T - 1) + 1
-    if circular:
-        lead = np.concatenate([values, values[: n - 1]])
-        return np.stack([_lag_product(values, u, lead) for u in range(n)])
-    mean = values.mean(axis=0)
-    buffer = np.empty((min(T, _ROWS + n - 1), values.shape[1]))
-    stack = np.empty((n, values.shape[1], values.shape[1]))
+    extent = T + n - 1 if circular else T   # rows t + u the lags read
+    if centered is None:
+        mean = values.mean(axis=0)
+        buffer = np.empty((min(extent, _ROWS + n - 1), d))
+    stack = np.empty((n, d, d))
     for start in range(0, T, _ROWS):
         stop = min(start + _ROWS, T)
-        block = np.subtract(values[start: stop + n - 1], mean,
-                            out=buffer[: min(stop + n - 1, T) - start])
-        for u, lag in enumerate(stack[: T - start]):
-            rows = min(stop, T - u) - start     # t = start..start+rows-1
+        end = min(stop + n - 1, extent)
+        block = (centered[start:end] if centered is not None
+                 else _centered_rows(values, mean, start, buffer[: end - start]))
+        for u, lag in enumerate(stack[: extent - start]):
+            rows = min(stop, extent - u) - start    # t = start..start+rows-1
             if start == 0:
                 np.matmul(block[u: u + rows].T, block[:rows], out=lag)
             else:
@@ -179,19 +191,19 @@ def _baseline_block(H, T, bandwidth, frequencies) -> np.ndarray:
 
 
 def _estimate_specs(values, specs, bandwidths, frequencies, method):
-    """An iterator over the SpectralEstimates of the T x d values by the
+    """An iterator over the SpectralEstimates of the raw T x d values by the
     method, estimate_smoothed's or estimate_lagwindow's, for each spec at
-    its bandwidth, on the checked frequencies: centered values for the
-    smoothed periodogram, raw ones for the lag window, whose linear lag
-    stack centers them. The specs share the work, done here: the flat-top
-    ones contract one lag stack, circular for the smoothed periodogram and
-    linear for the lag window, built at their largest lag count; the
-    baselines one half-spectrum fDFT. Every bandwidth
-    is checked, and the lag window refuses a baseline, before any of it. Lag
-    u of a stack is the same lag product however many lags the stack holds,
-    so each estimate is the one-spec estimate bit for bit. The iterator
-    holds the stack and the fDFT, not the values, and makes one estimate at
-    a time."""
+    its bandwidth, on the checked frequencies. The specs share the work,
+    done here: the flat-top ones contract one lag stack, circular for the
+    smoothed periodogram and linear for the lag window, built at their
+    largest lag count; the baselines one half-spectrum fDFT. The stack
+    centers the values a block of rows at a time; with a baseline the
+    values are centered once, with the circular stack's lead rows, and the
+    fDFT and the stack both read that copy. Every bandwidth is checked, and
+    the lag window refuses a baseline, before any of it. Lag u of a stack
+    is the same lag product however many lags the stack holds, so each
+    estimate is the one-spec estimate bit for bit. The iterator holds the
+    stack and the fDFT, not the values, and makes one estimate at a time."""
     T = values.shape[0]
     circular = method == METHOD_SMOOTHED
     bandwidths = [check_bandwidth(bandwidth) for bandwidth in bandwidths]
@@ -199,9 +211,16 @@ def _estimate_specs(values, specs, bandwidths, frequencies, method):
         raise UnsupportedKernelError("the Epanechnikov baseline has no lag-window form")
     lams = [_flat_top_lags(spec, bandwidth, T, circular) if spec.is_flat_top else None
             for spec, bandwidth in zip(specs, bandwidths)]
-    sizes = [lam.size for lam in lams if lam is not None]
-    stack = _autocovariance_stack(values, max(sizes) - 1, circular) if sizes else None
-    H = _fdft(values) if any(lam is None for lam in lams) else None
+    n_lags = max((lam.size - 1 for lam in lams if lam is not None), default=None)
+    centered = H = None
+    if any(lam is None for lam in lams):
+        n = min(n_lags or 0, T - 1) + 1
+        centered = _centered_rows(values, values.mean(axis=0), 0,
+                                  np.empty((T + n - 1, values.shape[1])))
+        values = centered[:T]   # lets the raw values go, unless a caller holds them
+        H = _fdft(values)
+    stack = None if n_lags is None else _autocovariance_stack(values, n_lags, circular,
+                                                              centered)
     return (SpectralEstimate(frequencies,
                              _baseline_block(H, T, bandwidth, frequencies) if lam is None
                              else _lag_sum(stack[: lam.size], lam, frequencies),
@@ -211,10 +230,7 @@ def _estimate_specs(values, specs, bandwidths, frequencies, method):
 
 def _estimate(series, spec, bandwidth, frequencies, method) -> SpectralEstimate:
     frequencies = _frequencies(frequencies)
-    # the lag window's only work is the linear lag stack, which centers its
-    # own input
-    values = series.values if method == METHOD_LAG_WINDOW else center(series).values
-    estimate, = _estimate_specs(values, (spec,), (bandwidth,), frequencies, method)
+    estimate, = _estimate_specs(series.values, (spec,), (bandwidth,), frequencies, method)
     return estimate
 
 

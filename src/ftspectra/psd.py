@@ -44,29 +44,32 @@ def _eig(solver, matrices):
 
 
 def _clip(block: np.ndarray, floor: float) -> np.ndarray:
-    """A (..., d, d) Hermitian stack with each matrix's eigenvalues floored."""
-    w, v = _eig(np.linalg.eigh, block)
-    v = v[..., ::-1]  # descending, as eigendecompose
-    m = v * np.maximum(w[..., ::-1], floor)[..., None, :]
-    v = v.conj()  # drops the eigh output: the product holds three blocks, not four
-    m = m @ v.swapaxes(-1, -2)
-    m = _hermitian_sum(m.real, m.imag)
-    m *= 0.5
-    return m
+    """A (n, d, d) Hermitian stack with each matrix's eigenvalues floored,
+    one matrix at a time into the output block: its working set is that
+    block and a few d x d matrices."""
+    out = np.empty(block.shape, dtype=complex)
+    for matrix, clipped in zip(block, out):
+        w, v = _eig(np.linalg.eigh, matrix)
+        v = v[:, ::-1]  # descending, as eigendecompose
+        m = (v * np.maximum(w[::-1], floor)) @ v.conj().T
+        _hermitian_sum(m.real, m.imag, out=clipped)
+        clipped *= 0.5
+    return out
 
 
 def clip_to_psd(kernel: FrequencyKernel) -> FrequencyKernel:
     """Replace negative eigenvalues by zero: the Frobenius-norm projection of
     the Hermitian matrix onto the positive semi-definite cone. Idempotent and
     a fixed point on inputs that are already PSD."""
-    return FrequencyKernel(_clip(kernel.matrix, 0.0))
+    return FrequencyKernel(_clip(kernel.matrix[None], 0.0)[0])
 
 
 def clip_to_pd(kernel: FrequencyKernel, eps: float) -> FrequencyKernel:
     """Floor all eigenvalues at a finite eps > 0, producing a strictly
     positive definite matrix; differs from the PSD clip by at most eps per
     clipped eigenvalue. A floor of order 1/T keeps the estimator's accuracy."""
-    return FrequencyKernel(_clip(kernel.matrix, _check_positive("eigenvalue floor", eps)))
+    return FrequencyKernel(_clip(kernel.matrix[None],
+                                 _check_positive("eigenvalue floor", eps))[0])
 
 
 def min_eigenvalue(kernel: FrequencyKernel) -> float:

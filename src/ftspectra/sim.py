@@ -22,7 +22,7 @@ from .core import (
     SpectralEstimate,
     _check_integer,
     _readonly,
-    center,
+    center,  # not called here; perfbench's traced imse-mc run wraps sim.center
     write_csv,
     write_json,
 )
@@ -367,13 +367,15 @@ def _estimates(specs, mode, series: FunctionalSeries, frequencies=None):
     specs, in spec order, at the bandwidths the parsed mode gives them, one
     at a time; each equal to estimate_smoothed's, bit for bit. Every
     bandwidth is resolved before any estimate is made, so a refused
-    bandwidth fails first; the series is then centered once, and the
-    estimates share one lag stack."""
+    bandwidth fails first; the estimates then share one lag stack, and the
+    series is centered once. The values are handed over with no reference
+    left here, so that, once centered for a baseline's fDFT, the raw ones
+    are let go when the caller holds none either."""
     frequencies = _frequencies(frequencies)
     bandwidths = resolve_bandwidths(mode, series, specs)
-    values = center(series).values
-    del series  # the shared work needs only the centered values
-    return _estimate_specs(values, specs, bandwidths, frequencies, METHOD_SMOOTHED)
+    values = [series.values]    # emptied in the call: no name here holds them
+    del series
+    return _estimate_specs(values.pop(), specs, bandwidths, frequencies, METHOD_SMOOTHED)
 
 
 def _run_replication(config: ImseConfig, task) -> list:

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,26 @@ class TestFunctionalSeries:
     def test_rejects_nonfinite(self):
         with pytest.raises(NumericError):
             make_series([[1.0, np.nan], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("row", [0, 1023, 1024, 5000])
+    def test_rejects_nonfinite_in_any_row_block(self, row):
+        # finiteness is tested a block of rows at a time, the last one short
+        values = np.ones((5001, 3))
+        values[row, 2] = -np.inf
+        with pytest.raises(NumericError):
+            make_series(values)
+
+    def test_finiteness_check_makes_no_boolean_copy(self):
+        # np.isfinite over the whole T x d matrix made a 0.82 MB boolean
+        # array at T = 16384, d = 50; a block of rows makes 51 kB of it
+        values = np.random.default_rng(0).standard_normal((16384, 50))
+        tracemalloc.start()
+        try:
+            FunctionalSeries(Grid(50), values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.size / 4
 
     def test_rejects_grid_mismatch(self):
         with pytest.raises(DimensionError):

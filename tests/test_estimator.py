@@ -452,6 +452,25 @@ def test_lags_past_T_cost_no_stack_memory():
     assert peak < 16e6
 
 
+@pytest.mark.parametrize("T, d, bound", [(16384, 50, 0.35), (2048, 100, 2.6)],
+                         ids=["T16384-row-blocks", "T2048-one-block"])
+def test_smoothed_holds_no_centered_copy(T, d, bound):
+    # the circular lag stack centers the raw series a block of rows at a
+    # time, in one (4096 + L) x d buffer, and appends the first rows to the
+    # last block: 1.85 MB against a 6.55 MB series at T = 16384 (13.4 MB
+    # with a centered copy and a circular lead) and 3.67 MB against 1.64 MB
+    # at T = 2048, one block (5.31 MB)
+    series = generate_fma1(make_fma1_model(1, d=d), T)
+    estimate_smoothed(series, trapezoid(), T ** -0.2)
+    tracemalloc.start()
+    try:
+        estimate_smoothed(series, trapezoid(), T ** -0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * series.values.nbytes
+
+
 def test_lag_window_holds_no_centered_copy():
     # the linear lag stack centers the raw series a block of rows at a time
     series = generate_fma1(make_fma1_model(1, d=50), 16384)
@@ -549,3 +568,61 @@ def test_blocks_are_fresh_arrays(fma_series):
         first[...] = np.nan
         assert np.array_equal(build(), expected)
         assert np.array_equal(second, expected)
+
+
+def circular_product(centered, u, lead):
+    """(1/T) * sum_t lead_{t+u} X_t^T over the T centered rows, lead the
+    centered rows followed by their first ones again: one product per lag."""
+    T = centered.shape[0]
+    return (lead[u:u + T].T @ centered) / T
+
+
+def stacks_and_products(T, d, n_lags):
+    values = generate_fma1(make_fma1_model(T, d=d), T).values
+    centered = values - values.mean(axis=0)
+    circular = estimator._autocovariance_stack(values, n_lags, True)
+    lead = np.concatenate([centered, centered[: circular.shape[0] - 1]])
+    products = np.stack([circular_product(centered, u, lead)
+                         for u in range(circular.shape[0])])
+    linear = estimator._autocovariance_stack(values, n_lags, False)
+    return circular, products, linear
+
+
+@pytest.mark.parametrize("T, n_lags", [(2, 1), (16, 8), (16, 40), (257, 9), (257, 256),
+                                       (4096, 12)],
+                         ids=["T2", "T16", "T16-L-beyond-T", "T257", "T257-all-lags",
+                              "T4096"])
+def test_circular_lags_are_the_one_product_bit_for_bit(T, n_lags):
+    # up to _ROWS rows the stack is one block, centered from the raw values:
+    # each lag u >= 1 has the bits of one product of the lead rows with the
+    # centered rows; lag 0 is the block's product with itself
+    circular, products, linear = stacks_and_products(T, 5, n_lags)
+    assert circular.shape[0] == min(n_lags, T - 1) + 1
+    assert np.array_equal(circular[1:].view(np.uint64), products[1:].view(np.uint64))
+    assert np.abs(circular[0] - products[0]).max() <= 1e-14 * np.abs(products[0]).max()
+    for stack in (circular, linear):
+        assert np.array_equal(stack[0], stack[0].T)
+
+
+@pytest.mark.parametrize("T", [4097, 9000])
+def test_circular_lags_over_row_blocks(T):
+    # past _ROWS rows the blocks' sums move the last bits only; lag 0 stays
+    # exactly symmetric in both stacks
+    circular, products, linear = stacks_and_products(T, 6, 10)
+    assert np.abs(circular - products).max() <= 1e-14 * np.abs(products).max()
+    for stack in (circular, linear):
+        assert np.array_equal(stack[0], stack[0].T)
+
+
+@pytest.mark.parametrize("T, n_lags", [(16, 40), (2048, 8), (9000, 10)])
+def test_stack_of_centered_rows_is_the_stack_of_raw_values(T, n_lags):
+    # handed the centered rows with their lead rows, as a baseline's fDFT
+    # shares them, the stack reads the same blocks: the same bits
+    values = generate_fma1(make_fma1_model(T, d=4), T).values
+    n = min(n_lags, T - 1) + 1
+    centered = estimator._centered_rows(values, values.mean(axis=0), 0,
+                                        np.empty((T + n - 1, 4)))
+    assert np.array_equal(centered[T:], centered[: n - 1])
+    got = estimator._autocovariance_stack(values, n_lags, True, centered)
+    expected = estimator._autocovariance_stack(values, n_lags, True)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

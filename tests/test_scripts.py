@@ -137,3 +137,38 @@ def test_perfbench_smoke_traces_every_span():
                            ("estimate-cli", "core.write_s"), ("estimate-long", "core.write_s")):
         span, = [line for line in lines if line.startswith(workload) and f" {name} " in line]
         assert "= 0 s" not in span, span
+
+
+def run_child_peak_rss(cwd, *argv):
+    return subprocess.run([sys.executable, str(SCRIPTS / "child_peak_rss.py"), *argv],
+                          cwd=cwd, capture_output=True, text=True)
+
+
+def test_child_peak_rss(tmp_path):
+    # two checkouts (here the same one twice), two runs each, of a command
+    # whose relative paths are taken from the current directory
+    res = run_child_peak_rss(tmp_path, "--runs", "2", str(ROOT), str(ROOT), "--",
+                             "simulate", "--T", "64", "--d", "4", "--out", "series.csv")
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "series.csv").is_file()
+    lines = res.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        head, tail = line.split(": median ")
+        assert head == str(ROOT)
+        median, runs = tail.split(" MB over 2 runs ")
+        values = [float(v) for v in runs.strip("()").split()]
+        assert len(values) == 2 and abs(float(median) - sum(values) / 2) <= 0.01
+        assert all(5.0 < v < 1000.0 for v in values)
+
+
+def test_child_peak_rss_refusals(tmp_path):
+    # a failing command stops the script with its error output
+    res = run_child_peak_rss(tmp_path, "--runs", "1", str(ROOT), "--",
+                             "estimate", "--input", "missing.csv", "--out", "est")
+    assert res.returncode != 0
+    assert f"{ROOT}: exit code 2" in res.stderr
+    for argv in ([str(ROOT), "simulate"], ["--runs", "0", str(ROOT), "--", "simulate"],
+                 [str(tmp_path), "--", "simulate"], ["--", "simulate"]):
+        res = run_child_peak_rss(tmp_path, *argv)
+        assert res.returncode != 0 and res.stderr, argv
